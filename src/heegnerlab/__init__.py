@@ -17,7 +17,6 @@ from .lattices import (
 )
 from .discriminant import (
     DiscriminantGroup,
-    disc_quadratic_value,
     discriminant_group,
     level,
 )

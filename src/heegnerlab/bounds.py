@@ -10,6 +10,7 @@ a numeric value for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -275,8 +276,23 @@ def kudla_irr_exponent(m: int) -> int:
 
 
 def growth_exponent_estimate(series: Sequence[tuple]) -> float:
-    """Least-squares slope of log(value) against log(index), zeros ignored."""
-    pts = [(float(i), float(v)) for i, v in series if float(v) != 0.0]
+    """Least-squares slope of log(value) against log(index), zeros ignored.
+
+    Every row is an (index, value) pair; indices must be positive and finite,
+    values finite and nonnegative.
+    """
+    pts = []
+    for row in series:
+        if not isinstance(row, (tuple, list)) or len(row) != 2:
+            raise ValueError(f"each series row must be an (index, value) pair, got {row!r}")
+        try:
+            i, v = float(row[0]), float(row[1])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"series row {row!r} is not a pair of numbers") from exc
+        if not (math.isfinite(i) and i > 0 and math.isfinite(v) and v >= 0):
+            raise ValueError(f"series row {row!r} needs a positive finite index and a nonnegative finite value")
+        if v:
+            pts.append((i, v))
     if len(pts) < 8:
         raise ValueError(f"need at least 8 nonzero entries, got {len(pts)}")
     xs = np.log([p[0] for p in pts])
@@ -318,7 +334,7 @@ def admissibility_report(d: int, n_max: int = 10) -> AdmissibilityReport:
         d=d,
         case_a=case_a(d),
         case_b=case_b(d),
-        case_c_witnesses=tuple(case_c(d, n_max)) if d >= 2 else (),
+        case_c_witnesses=tuple(case_c(d, n_max)),  # raises for d < 2
     )
 
 

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
 from .bounds import (
@@ -209,8 +208,14 @@ def run_growth(args) -> tuple[object, int]:
     if args.subcommand == "sandwich":
         report = sandwich_check(args.k, (args.m_min, args.m_max))
         return report, 0 if report.passed else 1
-    raw = sys.stdin.read() if args.series_file is None else open(args.series_file).read()
-    series = [(Fraction(str(i)), float(v)) for i, v in json.loads(raw)]
+    if args.series_file is None:
+        raw = sys.stdin.read()
+    else:
+        with open(args.series_file) as fh:
+            raw = fh.read()
+    series = json.loads(raw)
+    if not isinstance(series, list):
+        raise UsageError("the series must be a JSON list of [index, value] pairs")
     slope = growth_exponent_estimate(series)
     return {"count": len(series), "slope": slope}, 0
 
@@ -232,9 +237,9 @@ def _render(payload, args) -> str:
                 writer.writerow(row)
         return buf.getvalue()
     if isinstance(payload, list):
-        body = "\n".join(json.dumps(_jsonable(x), sort_keys=False) for x in payload)
+        body = "\n".join(json.dumps(_jsonable(x), sort_keys=False, allow_nan=False) for x in payload)
     else:
-        body = json.dumps(_jsonable(payload), indent=2, sort_keys=False)
+        body = json.dumps(_jsonable(payload), indent=2, sort_keys=False, allow_nan=False)
     if args.meta:
         envelope = {
             "payload": json.loads(body) if not isinstance(payload, list) else [json.loads(l) for l in body.splitlines()],
@@ -263,14 +268,14 @@ def main(argv=None) -> int:
     try:
         payload, code = handlers[args.command](args)
         text = _render(payload, args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -18,16 +18,17 @@ from .enumeration import first_primitive_vector
 from .intlinalg import (
     elementary_divisors,
     fraction_determinant,
+    identity,
     rational_rank,
     symmetric_signature,
 )
-from .lattices import DualVector, build_named_lattice, orthogonal_complement
+from .lattices import CACHE_SIZE, DualVector, build_named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
 Gram = tuple[tuple[int, ...], ...]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _tag_level(tag: str) -> int:
     if tag.startswith("Lambda_HK_prim"):
         inside = tag[tag.index("(") + 1 : tag.index(")")]
@@ -74,12 +75,8 @@ class MomentMatrix:
 
     @property
     def is_positive_semidefinite(self) -> bool:
-        scale = 1
-        for row in self.entries:
-            for x in row:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
-        scaled = [[int(x * scale) for x in row] for row in self.entries]
-        _, negatives, _ = symmetric_signature(scaled) if scaled else (0, 0, 0)
+        # Inertia is exact over the rationals, so no denominators to clear.
+        _, negatives, _ = symmetric_signature(self.entries)
         return negatives == 0
 
     def principal_submatrix(self, indices: Sequence[int]) -> "MomentMatrix":
@@ -91,12 +88,6 @@ class MomentMatrix:
             "entries": [[str(x) for x in row] for row in self.entries],
             "rank": self.rank,
         }
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -375,18 +366,14 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
         raise ValueError(
             f"no primitive vector of norm {d} in E8 (searched the full norm-{d} ellipsoid)"
         )
-    image: list[tuple[int, ...]] = []
-    for i in range(16):
-        image.append(tuple(int(j == i) for j in range(28)))
-    for i in range(24, 28):
-        image.append(tuple(int(j == i) for j in range(28)))
-    image.append(tuple(w[i - 16] if 16 <= i < 24 else 0 for i in range(28)))
+    units = identity(28)
+    image = [tuple(units[i]) for i in (*range(16), *range(24, 28))]
+    image.append((0,) * 16 + tuple(w) + (0,) * 4)
     primitive = all(x == 1 for x in elementary_divisors([list(v) for v in image]))
     complement, basis = orthogonal_complement(sharp, image)
     if len(basis) != 7:
         raise AssertionError(f"complement rank {len(basis)} != 7 for d={d}")
-    duals = [DualVector(sharp, tuple(Fraction(x) for x in b)) for b in basis]
-    moment = moment_matrix(duals)
+    moment = moment_matrix([DualVector.from_scaled(sharp, b) for b in basis])
     return EmbeddingWitness(
         d=d,
         image_basis=tuple(image),

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Sequence
 
-from .intlinalg import mat_vec, smith_normal_form
+from .intlinalg import identity, mat_vec, smith_normal_form
 from .lattices import DualVector, IntegerLattice, gram_determinant
 
 Element = tuple[int, ...]
@@ -47,9 +47,9 @@ class DiscriminantGroup:
         self.full_table_cap = full_table_cap
         self._snf_rows = snf_rows
         self._snf_slots = snf_slots
-        self.order = 1
-        for s in elementary_divisors:
-            self.order *= s
+        self.order = prod(elementary_divisors)
+        self._units = tuple(tuple(row) for row in identity(len(elementary_divisors)))
+        self._lift_den = lcm(*(g.den for g in generators))
         self.gen_pairings = tuple(tuple(gi.pairing(gj) for gj in generators) for gi in generators)
         self._q_table: dict[Element, Fraction] | None = None
         self._b_table: dict[tuple[Element, Element], Fraction] | None = None
@@ -102,19 +102,19 @@ class DiscriminantGroup:
 
     def lift(self, elem: Sequence[int]) -> DualVector:
         """Explicit dual-vector lift of a group element."""
-        r = self.reduce(elem)
-        coords = [Fraction(0)] * self.lattice.rank
-        for ri, g in zip(r, self.generators):
+        num = [0] * self.lattice.rank
+        for ri, g in zip(self.reduce(elem), self.generators):
             if ri:
-                coords = [c + ri * gc for c, gc in zip(coords, g.coords)]
-        return DualVector(self.lattice, tuple(coords))
+                c = ri * (self._lift_den // g.den)
+                num = [x + c * y for x, y in zip(num, g.num)]
+        return DualVector.from_scaled(self.lattice, num, self._lift_den)
 
     def element_of(self, v: DualVector) -> Element:
         """Class of a dual vector in the group."""
-        if not v.in_dual():
+        gv = mat_vec(self.lattice.gram, v.num)
+        if any(x % v.den for x in gv):
             raise ValueError("vector is not in the dual lattice")
-        y = [int(x) for x in mat_vec(self.lattice.gram, v.coords)]
-        image = mat_vec(self._snf_rows, y)
+        image = mat_vec(self._snf_rows, [x // v.den for x in gv])
         return tuple(int(image[i]) % s for i, s in zip(self._snf_slots, self.elementary_divisors))
 
     @property
@@ -124,9 +124,7 @@ class DiscriminantGroup:
             if self.order <= self.full_table_cap:
                 self._q_table = {elem: self.q(elem) for elem in self.elements()}
             else:
-                k = len(self.elementary_divisors)
-                units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-                self._q_table = {u: self.q(u) for u in units}
+                self._q_table = {u: self.q(u) for u in self._units}
         return self._q_table
 
     @property
@@ -138,9 +136,7 @@ class DiscriminantGroup:
                 elems = list(self.elements())
                 self._b_table = {(x, y): self.b(x, y) for x in elems for y in elems}
             else:
-                k = len(self.elementary_divisors)
-                units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-                self._b_table = {(u, w): self.b(u, w) for u in units for w in units}
+                self._b_table = {(u, w): self.b(u, w) for u in self._units for w in self._units}
         return self._b_table
 
     @property
@@ -156,13 +152,8 @@ class DiscriminantGroup:
         denominators divides the level; hence the lcm equals the level.
         """
         if self._level is None:
-            k = len(self.elementary_divisors)
-            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-            denoms = [self.q(u).denominator for u in units]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    denoms.append(self.q(self.add(units[i], units[j])).denominator)
-            self._level = lcm(*denoms) if denoms else 1
+            sums = (self.add(u, w) for u, w in itertools.combinations(self._units, 2))
+            self._level = lcm(*(self.q(e).denominator for e in (*self._units, *sums)))
         return self._level
 
     def element_key(self, elem: Sequence[int]) -> str:
@@ -190,13 +181,9 @@ def discriminant_group(
     if order > hard:
         raise ValueError(f"discriminant group order {order} exceeds the hard cap {hard}")
     snf, u, v = smith_normal_form(lattice.gram)
-    n = lattice.rank
-    slots = tuple(i for i in range(n) if snf[i][i] > 1)
+    slots = tuple(i for i in range(lattice.rank) if snf[i][i] > 1)
     divisors = tuple(snf[i][i] for i in slots)
-    generators = tuple(
-        DualVector(lattice, tuple(Fraction(v[row][i], snf[i][i]) for row in range(n)))
-        for i in slots
-    )
+    generators = tuple(DualVector.from_scaled(lattice, (row[i] for row in v), snf[i][i]) for i in slots)
     group = DiscriminantGroup(
         lattice=lattice,
         elementary_divisors=divisors,
@@ -208,11 +195,6 @@ def discriminant_group(
     if group.order != order:
         raise AssertionError("Smith form inconsistent with |det Gram|")
     return group
-
-
-def disc_quadratic_value(group: DiscriminantGroup, elem: Sequence[int]) -> Fraction:
-    """q(elem) = half the self-pairing of a lift, reduced mod 1."""
-    return group.q(elem)
 
 
 def level(lattice: IntegerLattice) -> int:

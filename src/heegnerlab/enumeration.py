@@ -13,7 +13,7 @@ distinguished representative stop at the first hit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 from typing import Iterator
 
 from .lattices import DualVector, IntegerLattice
@@ -64,21 +64,13 @@ def _integer_interval(t: Fraction, d: Fraction, budget: Fraction) -> range:
         y = x + t
         return d * y * y <= budget
 
-    lo = _ceil_int(-r - t) - 1
-    hi = _floor_int(r - t) + 1
+    lo = ceil(-r - t) - 1
+    hi = floor(r - t) + 1
     while lo <= hi and not ok(lo):
         lo += 1
     while hi >= lo and not ok(hi):
         hi -= 1
     return range(lo, hi + 1)
-
-
-def _floor_int(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil_int(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def lex_stream(
@@ -136,28 +128,20 @@ def enumerate_by_norm(
     target = Fraction(norm)
     if target < 0:
         raise ValueError("norm must be nonnegative in a positive definite lattice")
-    shift: Shift | None = None
-    if coset is not None:
-        if coset.lattice != lattice:
-            raise ValueError("coset representative lives in a different lattice")
-        shift = coset.coords
-    out = []
-    zero = Fraction(0)
-    for x in lex_stream(lattice, target, shift):
-        if shift is None:
-            coords = tuple(Fraction(c) for c in x)
-        else:
-            coords = tuple(zero + s + c for s, c in zip(shift, x))
-        out.append(DualVector(lattice, coords))
-    return out
+    if coset is None:
+        return [DualVector.from_scaled(lattice, x) for x in lex_stream(lattice, target)]
+    if coset.lattice != lattice:
+        raise ValueError("coset representative lives in a different lattice")
+    num, den = coset.num, coset.den
+    return [
+        DualVector.from_scaled(lattice, (s + den * c for s, c in zip(num, x)), den)
+        for x in lex_stream(lattice, target, coset.coords)
+    ]
 
 
 def first_primitive_vector(lattice: IntegerLattice, norm) -> tuple[int, ...] | None:
     """Lexicographically least primitive lattice vector of the given norm."""
     for x in lex_stream(lattice, Fraction(norm)):
-        g = 0
-        for c in x:
-            g = gcd(g, c)
-        if g == 1:
+        if gcd(*x) == 1:
             return x
     return None

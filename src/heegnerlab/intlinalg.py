@@ -7,6 +7,7 @@ point ever enters a result.  Matrices are lists (or tuples) of rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -62,22 +63,10 @@ def bareiss_determinant(mat: Matrix) -> int:
 
 def fraction_determinant(mat) -> Fraction:
     """Determinant of a rational matrix, via scaling to an integer one."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
     rows = [[Fraction(x) for x in row] for row in mat]
-    scale = 1
-    for row in rows:
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-    scaled = [[int(x * scale) for x in row] for row in rows]
-    return Fraction(bareiss_determinant(scaled), scale**n)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    return Fraction(bareiss_determinant(scaled), scale ** len(rows))
 
 
 def rational_rank(mat) -> int:

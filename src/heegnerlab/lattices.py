@@ -8,14 +8,16 @@ elimination over the rationals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .intlinalg import (
     bareiss_determinant,
     hermite_row_basis,
+    identity,
     invert_rational,
     is_symmetric,
     kernel_basis,
@@ -41,8 +43,7 @@ class IntegerLattice:
 
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing of two vectors in basis coordinates."""
-        gv = mat_vec(self.gram, list(v))
-        return _as_fraction(sum(a * b for a, b in zip(u, gv)))
+        return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, list(v)))))
 
     def norm_of(self, v: Sequence) -> Fraction:
         return self.pairing(v, v)
@@ -56,38 +57,90 @@ class IntegerLattice:
         return doc
 
 
-@dataclass(frozen=True)
+# Integral coordinates share these Fractions, so reading `.coords` of a
+# lattice vector allocates one tuple and no Fraction.
+_SMALL_INT = 64
+_SMALL_FRACTIONS = tuple(Fraction(i) for i in range(-_SMALL_INT, _SMALL_INT + 1))
+
+
+def _coord(x: int, den: int) -> Fraction:
+    if x % den == 0 and -_SMALL_INT <= x // den <= _SMALL_INT:
+        return _SMALL_FRACTIONS[x // den + _SMALL_INT]
+    return Fraction(x, den)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DualVector:
-    """Rational vector in the span of a lattice, in lattice-basis coordinates."""
+    """Rational vector in the span of a lattice, in lattice-basis coordinates.
+
+    Stored as integer numerators `num` over one positive denominator `den`,
+    in lowest terms, so equal vectors have equal fields.  Pairings, norms and
+    membership tests run in integers; `.coords` is the Fraction view.
+    """
 
     lattice: IntegerLattice
-    coords: tuple[Fraction, ...]
+    num: IntVector
+    den: int
+
+    def __init__(self, lattice: IntegerLattice, coords: Iterable) -> None:
+        coords = tuple(coords)
+        if not all(isinstance(x, Rational) for x in coords):
+            raise TypeError(f"dual vector coordinates must be integers or Fractions, got {coords}")
+        den = lcm(*(int(x.denominator) for x in coords))
+        self._assign(lattice, tuple(int(x.numerator) * (den // int(x.denominator)) for x in coords), den)
+
+    @classmethod
+    def from_scaled(cls, lattice: IntegerLattice, num: Iterable[int], den: int = 1) -> "DualVector":
+        """The vector num / den, for integer numerators and a positive den."""
+        num = tuple(num)
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        g = gcd(den, *num)
+        if g > 1:
+            num, den = tuple(x // g for x in num), den // g
+        vec = cls.__new__(cls)
+        vec._assign(lattice, num, den)
+        return vec
+
+    def _assign(self, lattice: IntegerLattice, num: IntVector, den: int) -> None:
+        if len(num) != lattice.rank:
+            raise ValueError(f"vector of length {len(num)} in a lattice of rank {lattice.rank}")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(_coord(x, self.den) for x in self.num)
 
     def pairing(self, other) -> Fraction:
-        coords = other.coords if isinstance(other, DualVector) else other
-        return self.lattice.pairing(self.coords, coords)
+        if not isinstance(other, DualVector):
+            other = DualVector(self.lattice, other)
+        gv = mat_vec(self.lattice.gram, other.num)
+        return Fraction(sum(a * b for a, b in zip(self.num, gv)), self.den * other.den)
 
     def norm(self) -> Fraction:
         return self.pairing(self)
 
     def in_dual(self) -> bool:
         """Membership in M-dual: integral pairing against every basis vector."""
-        return all(x.denominator == 1 for x in mat_vec(self.lattice.gram, self.coords))
+        return all(x % self.den == 0 for x in mat_vec(self.lattice.gram, self.num))
 
     def in_lattice(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords)
+        return self.den == 1
 
     def __add__(self, other: "DualVector") -> "DualVector":
         if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise ValueError("dual vectors live in different lattices")
-        return DualVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return DualVector.from_scaled(self.lattice, (a * x + b * y for x, y in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "DualVector":
-        return DualVector(self.lattice, tuple(-a for a in self.coords))
+        return DualVector.from_scaled(self.lattice, (-x for x in self.num), self.den)
 
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    def __sub__(self, other: "DualVector") -> "DualVector":
+        return self + -other
 
 
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:
@@ -119,34 +172,26 @@ E8_GRAM = (
 )
 
 
-def _block_diag(blocks: Sequence[Gram]) -> list[list[int]]:
-    size = sum(len(b) for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[offset + i][offset + j] = x
-        offset += len(b)
-    return out
+# Lattices without parameters, as their direct summands in layout order.
+_FIXED_BLOCKS = {
+    "U": (U_GRAM,),
+    "A1": (A1_GRAM,),
+    "A2": (A2_GRAM,),
+    "E8": (E8_GRAM,),
+    "Lambda_C": (A2_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM),
+    "Lambda_GM": (A1_GRAM, A1_GRAM, E8_GRAM, E8_GRAM, U_GRAM, U_GRAM),
+    "Lambda_HK": (A1_GRAM, U_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM),
+    "Lambda_sharp": (E8_GRAM, E8_GRAM, E8_GRAM, U_GRAM, U_GRAM),
+}
+
+NAMED_LATTICES = (*_FIXED_BLOCKS, "rank1", "Lambda_HK_prim", "Lambda_d")
 
 
-NAMED_LATTICES = (
-    "U",
-    "A1",
-    "A2",
-    "E8",
-    "rank1",
-    "Lambda_C",
-    "Lambda_GM",
-    "Lambda_HK",
-    "Lambda_HK_prim",
-    "Lambda_d",
-    "Lambda_sharp",
-)
+# Bound on each lattice cache; a sweep touches a dozen named lattices.
+CACHE_SIZE = 32
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     """Construct one of the standard lattices by name.
 
@@ -156,24 +201,14 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     out block-diagonally in the conventional order.  Block signatures add,
     so composite builds skip the full symmetric elimination.
     """
-    if name == "U":
-        return _named(U_GRAM, "U", params)
-    if name == "A1":
-        return _named(A1_GRAM, "A1", params)
-    if name == "A2":
-        return _named(A2_GRAM, "A2", params)
-    if name == "E8":
-        return _named(E8_GRAM, "E8", params)
+    if name in _FIXED_BLOCKS:
+        if params:
+            raise ValueError(f"{name} takes no parameters")
+        return _assemble(name, _FIXED_BLOCKS[name])
     if name == "rank1":
         (d,) = _take_params(name, params, 1)
         _require_even_positive(d)
         return make_lattice(((d,),), name=f"rank1({d})")
-    if name == "Lambda_C":
-        return _assemble("Lambda_C", [A2_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM])
-    if name == "Lambda_GM":
-        return _assemble("Lambda_GM", [A1_GRAM, A1_GRAM, E8_GRAM, E8_GRAM, U_GRAM, U_GRAM])
-    if name == "Lambda_HK":
-        return _assemble("Lambda_HK", [A1_GRAM, U_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM])
     if name == "Lambda_HK_prim":
         n, delta = _take_params(name, params, 2)
         if n <= 0:
@@ -193,21 +228,11 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
         (d,) = _take_params(name, params, 1)
         _require_even_positive(d)
         return _assemble(f"Lambda_d({d})", [E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, ((d,),)])
-    if name == "Lambda_sharp":
-        return _assemble("Lambda_sharp", [E8_GRAM, E8_GRAM, E8_GRAM, U_GRAM, U_GRAM])
     raise ValueError(f"unknown lattice name {name!r}; expected one of {', '.join(NAMED_LATTICES)}")
 
 
-def _assemble(name: str, blocks: list[Gram]) -> IntegerLattice:
-    summands = [make_lattice(b) for b in blocks]
-    combined = direct_sum(*summands)
-    return IntegerLattice(gram=combined.gram, signature=combined.signature, name=name)
-
-
-def _named(gram: Gram, name: str, params) -> IntegerLattice:
-    if params:
-        raise ValueError(f"{name} takes no parameters")
-    return make_lattice(gram, name=name)
+def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
+    return replace(direct_sum(*(make_lattice(b) for b in blocks)), name=name)
 
 
 def _take_params(name: str, params, count: int):
@@ -224,10 +249,15 @@ def _require_even_positive(d: int) -> None:
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
-    gram = _block_diag([l.gram for l in lattices])
+    """Block-diagonal sum, in argument order; signatures add."""
+    size = sum(l.rank for l in lattices)
+    gram, offset = [], 0
+    for l in lattices:
+        gram += [(0,) * offset + tuple(row) + (0,) * (size - offset - l.rank) for row in l.gram]
+        offset += l.rank
     p = sum(l.signature[0] for l in lattices)
     q = sum(l.signature[1] for l in lattices)
-    return IntegerLattice(gram=tuple(tuple(row) for row in gram), signature=(p, q))
+    return IntegerLattice(gram=tuple(gram), signature=(p, q))
 
 
 def twist(lattice: IntegerLattice) -> IntegerLattice:
@@ -237,7 +267,7 @@ def twist(lattice: IntegerLattice) -> IntegerLattice:
     return IntegerLattice(gram=gram, signature=(q, p))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gram_determinant(lattice: IntegerLattice) -> int:
     return bareiss_determinant(lattice.gram)
 
@@ -260,10 +290,7 @@ def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
     coords = [int(x) for x in v]
     if not any(coords):
         raise ValueError("the zero vector is not primitive nor imprimitive")
-    g = 0
-    for x in coords:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*coords) == 1
 
 
 def orthogonal_complement(
@@ -277,7 +304,7 @@ def orthogonal_complement(
     """
     vecs = [[int(x) for x in v] for v in vectors]
     if not vecs:
-        return lattice, [tuple(row) for row in _identity_rows(lattice.rank)]
+        return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]
     basis = hermite_row_basis(kernel_basis(pairing_rows))
     induced = [[sum(bi[k] * x for k, x in enumerate(mat_vec(lattice.gram, bj))) for bj in basis] for bi in basis]
@@ -287,10 +314,6 @@ def orthogonal_complement(
         signature=(p, q),
     )
     return result, [tuple(b) for b in basis]
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def lattice_from_jsonable(doc: dict) -> IntegerLattice:

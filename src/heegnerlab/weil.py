@@ -116,8 +116,8 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     Failures are reported, not raised: each entry carries the relation name,
     the maximum absolute deviation, and a pass flag.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     s = rep.s_matrix
     t = rep.t_matrix
     eye = np.eye(rep.dim)

@@ -1,8 +1,13 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from heegnerlab.cli import _render
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -174,3 +179,64 @@ def test_growth_estimate_from_file(tmp_path):
     result = run_cli("growth", "estimate", "--series-file", str(series_path))
     assert result.returncode == 0
     assert abs(json.loads(result.stdout)["slope"] - 3.0) < 1e-9
+
+
+def assert_usage_error(result, *fragments):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+    for fragment in fragments:
+        assert fragment in result.stderr
+
+
+def test_growth_estimate_rejects_nonpositive_index():
+    for bad in (0, -3):
+        series = json.dumps([[bad, 1.0]] + [[n, float(n) ** 2] for n in range(1, 12)])
+        assert_usage_error(run_cli("growth", "estimate", stdin=series), "positive finite index")
+
+
+def test_growth_estimate_rejects_malformed_rows():
+    assert_usage_error(run_cli("growth", "estimate", stdin='{"a": 1}'), "list of [index, value] pairs")
+    rows = json.dumps([[n, n**2] for n in range(1, 12)] + [[5]])
+    assert_usage_error(run_cli("growth", "estimate", stdin=rows), "(index, value) pair")
+
+
+def test_render_refuses_nonfinite_floats():
+    args = argparse.Namespace(format="json", meta=False)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _render({"slope": value}, args)
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    result = run_cli("heegner", "cubic", "--d", "14", "--out", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+    assert not target.exists()
+
+
+def test_weil_check_nan_tolerance_is_usage_error():
+    assert_usage_error(run_cli("weil", "check", "--name", "Lambda_C", "--tol", "nan"), "tolerance")
+
+
+def test_series_file_is_closed(tmp_path):
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps([[n, n**3] for n in range(1, 15)]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-m", "heegnerlab",
+         "growth", "estimate", "--series-file", str(series_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert "ResourceWarning" not in result.stderr
+
+
+def test_admissible_rejects_d_below_two():
+    for d in ("0", "-4"):
+        assert_usage_error(run_cli("admissible", "--d", d), "at least 2")
+    assert_usage_error(run_cli("admissible", "--g", "1"), "at least 2")

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from heegnerlab.cycles import _tag_level
 from heegnerlab.enumeration import enumerate_by_norm, first_primitive_vector
 from heegnerlab.lattices import (
+    CACHE_SIZE,
     build_named_lattice,
     direct_sum,
     disc,
@@ -174,3 +176,15 @@ def test_lattice_json_round_trip():
     doc["signature"] = [2, 20]
     with pytest.raises(ValueError, match="signature"):
         lattice_from_jsonable(doc)
+
+
+def test_lattice_caches_stay_bounded():
+    extra = CACHE_SIZE + 8
+    for d in range(2, 2 * extra + 1, 2):
+        gram_determinant(build_named_lattice("rank1", d))
+    for n in range(1, extra + 1):
+        _tag_level(f"Lambda_HK_prim({n},1)")
+    for cached in (build_named_lattice, gram_determinant, _tag_level):
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= info.maxsize

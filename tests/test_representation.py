@@ -1,0 +1,114 @@
+"""Property tests for the integer-numerator vector format of DualVector.
+
+Every operation is compared with a per-coordinate Fraction oracle written
+here, on random even Gram matrices and random rational coordinates.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from heegnerlab.discriminant import discriminant_group
+from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def even_lattices(draw, max_rank=4):
+    rank = draw(st.integers(1, max_rank))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    try:
+        return make_lattice(gram)
+    except ValueError:  # degenerate
+        assume(False)
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def coords_for(lattice):
+    return st.lists(rationals(), min_size=lattice.rank, max_size=lattice.rank).map(tuple)
+
+
+@st.composite
+def lattice_with_vectors(draw):
+    lattice = draw(even_lattices())
+    return lattice, draw(coords_for(lattice)), draw(coords_for(lattice))
+
+
+def oracle_pairing(gram, u, v):
+    return sum(Fraction(u[i]) * gram[i][j] * Fraction(v[j]) for i in range(len(u)) for j in range(len(v)))
+
+
+@PROPERTY
+@given(lattice_with_vectors())
+def test_coords_round_trip_and_lowest_terms(case):
+    lattice, u, _ = case
+    v = DualVector(lattice, u)
+    assert v.coords == u
+    assert all(type(x) is Fraction for x in v.coords)
+    again = DualVector(lattice, v.coords)
+    assert again == v and hash(again) == hash(v)
+    scaled = DualVector.from_scaled(lattice, v.num, v.den)
+    assert scaled == v and hash(scaled) == hash(v)
+    assert v.den > 0
+    assert all(x * v.den == n for x, n in zip(u, v.num))
+    doubled = DualVector.from_scaled(lattice, [3 * x for x in v.num], 3 * v.den)
+    assert (doubled.num, doubled.den) == (v.num, v.den)
+
+
+@PROPERTY
+@given(lattice_with_vectors())
+def test_operations_match_fraction_oracle(case):
+    lattice, u, w = case
+    gram = lattice.gram
+    a, b = DualVector(lattice, u), DualVector(lattice, w)
+    assert a.pairing(b) == oracle_pairing(gram, u, w)
+    assert a.pairing(w) == oracle_pairing(gram, u, w)
+    assert a.norm() == oracle_pairing(gram, u, u)
+    image = [sum(gram[i][j] * u[j] for j in range(len(u))) for i in range(len(u))]
+    assert a.in_dual() == all(x.denominator == 1 for x in image)
+    assert a.in_lattice() == all(x.denominator == 1 for x in u)
+    assert (a + b).coords == tuple(x + y for x, y in zip(u, w))
+    assert (a - b).coords == tuple(x - y for x, y in zip(u, w))
+    assert (-a).coords == tuple(-x for x in u)
+
+
+@PROPERTY
+@given(even_lattices())
+def test_element_of_inverts_lift(lattice):
+    group = discriminant_group(lattice)
+    assume(group.order <= 200)
+    for elem in group.elements():
+        assert group.element_of(group.lift(elem)) == elem
+
+
+def test_element_of_inverts_lift_rank_one():
+    for d in range(2, 201, 2):
+        group = discriminant_group(build_named_lattice("rank1", d))
+        assert [group.element_of(group.lift(e)) for e in group.elements()] == list(group.elements())
+
+
+def test_integral_coords_share_fraction_objects():
+    e8 = build_named_lattice("E8")
+    u = DualVector.from_scaled(e8, (1, -2, 0, 3, 0, 0, 0, 1))
+    w = DualVector.from_scaled(e8, (1, -2, 0, 3, 0, 0, 0, 1))
+    assert all(x is y for x, y in zip(u.coords, w.coords))
+
+
+def test_constructor_rejects_bad_input():
+    a2 = build_named_lattice("A2")
+    with pytest.raises(ValueError, match="rank"):
+        DualVector(a2, (1, 2, 3))
+    with pytest.raises(TypeError, match="integers or Fractions"):
+        DualVector(a2, (0.5, 1))
+    with pytest.raises(ValueError, match="positive"):
+        DualVector.from_scaled(a2, (1, 1), 0)
