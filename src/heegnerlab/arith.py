@@ -1,12 +1,18 @@
-"""Elementary arithmetic functions by trial division, plus array sieves.
+"""Elementary arithmetic functions by trial division, plus range sieves.
 
 Single-value functions are exact for inputs up to 10^12; bulk range checks
-go through numpy sieves instead.
+go through sieves instead.  `divisor_sigma_sieve` works in exact Python
+ints; `prime_sieve`, `omega_sieve`, `divisor_count_sieve` and
+`squarefree_sieve` return numpy arrays and load numpy when first called.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRIAL_DIVISION_BOUND = 10**12
 
@@ -63,6 +69,8 @@ def is_squarefree(n: int) -> bool:
 
 def prime_sieve(limit: int) -> np.ndarray:
     """Primes up to limit inclusive."""
+    import numpy as np
+
     if limit < 2:
         return np.array([], dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -75,6 +83,8 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n) for n = 0..limit (omega(0) set to 0)."""
+    import numpy as np
+
     out = np.zeros(limit + 1, dtype=np.int64)
     for p in prime_sieve(limit):
         out[p::p] += 1
@@ -83,6 +93,8 @@ def omega_sieve(limit: int) -> np.ndarray:
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
     """d(n) for n = 0..limit (d(0) set to 0)."""
+    import numpy as np
+
     out = np.zeros(limit + 1, dtype=np.int64)
     for k in range(1, limit + 1):
         out[k::k] += 1
@@ -90,17 +102,35 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
 
 
 def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
-    """sigma_power(power, n) for n = 0..limit, as exact Python ints."""
+    """sigma_power(power, n) for n = 0..limit, as exact Python ints.
+
+    Linear time: a smallest-prime-factor table, then the multiplicative
+    recurrence, so only prime powers pay for a power.
+    """
+    if power < 0:
+        raise ValueError(f"exponent must be nonnegative, got {power}")
+    spf = list(range(limit + 1))
+    # descending, so the smallest prime factor writes last
+    for p in range(math.isqrt(max(limit, 0)), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     out = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        dp = d**power
-        for k in range(d, limit + 1, d):
-            out[k] += dp
+    if limit >= 1:
+        out[1] = 1
+    # ppart[m]: the largest power of spf[m] that divides m
+    ppart = [1] * (limit + 1)
+    for m in range(2, limit + 1):
+        p = spf[m]
+        q = m // p
+        pk = ppart[q] * p if spf[q] == p else p
+        ppart[m] = pk
+        out[m] = out[q] + m**power if pk == m else out[pk] * out[m // pk]
     return out
 
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Boolean mask of squarefree n for n = 0..limit (0 marked False)."""
+    import numpy as np
+
     out = np.ones(limit + 1, dtype=bool)
     out[0] = False
     p = 2

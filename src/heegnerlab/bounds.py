@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .arith import (
     divisor_count_sieve,
     divisor_sigma_sieve,
@@ -187,14 +185,20 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
     failures = []
     terms = 64
     zlo = zeta_partial_sum(s, terms)
+    # floor(zlo * 2^64) <= zlo * 2^64, so sigma * 2^64 <= floor64 * m^s
+    # proves sigma <= zlo * m^s without the long numerator and denominator
+    floor64 = (zlo.numerator << 64) // zlo.denominator
     for m in range(m_lo, m_hi + 1):
         mk = m**s
         if mk > sigma[m]:
             failures.append(m)
             continue
+        if sigma[m] << 64 <= floor64 * mk:
+            continue
         while sigma[m] * zlo.denominator > zlo.numerator * mk and terms < m:
             terms = min(2 * terms, m)
             zlo = zeta_partial_sum(s, terms)
+            floor64 = (zlo.numerator << 64) // zlo.denominator
         if sigma[m] * zlo.denominator > zlo.numerator * mk:
             failures.append(m)
     zhi = zlo + zeta_tail_bound(s, terms)
@@ -233,6 +237,8 @@ class DivisorBoundReport:
 
 def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4) -> DivisorBoundReport:
     """Verify 2^omega(n) <= d(n) on a range, with squarefree equality."""
+    import numpy as np
+
     lo, hi = (int(x) for x in n_range)
     if not (1 <= lo <= hi):
         raise ValueError(f"bad range [{lo}, {hi}]")
@@ -295,6 +301,8 @@ def growth_exponent_estimate(series: Sequence[tuple]) -> float:
             pts.append((i, v))
     if len(pts) < 8:
         raise ValueError(f"need at least 8 nonzero entries, got {len(pts)}")
+    import numpy as np
+
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     xbar = xs.mean()

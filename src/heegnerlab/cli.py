@@ -1,6 +1,7 @@
 """Command-line front end: reproducible batch commands with JSON/CSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
+Exit codes: 0 success, 1 verification failure or failed internal check,
+2 usage or precondition error.
 Payloads contain no timestamps, so identical invocations are byte-identical;
 `--meta` wraps the payload in a separate metadata envelope.
 """
@@ -30,7 +31,7 @@ from .cycles import (
     hk_heegner_index,
 )
 from .discriminant import discriminant_group
-from .lattices import build_named_lattice, gram_determinant
+from .lattices import NAMED_LATTICES, build_named_lattice, gram_determinant
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
 ENV_CAP = "HEEGNER_LAB_CAP"
@@ -98,18 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The --d/--n/--delta flags each parametrized lattice takes, in order.
+_LATTICE_PARAMS = {"rank1": ("d",), "Lambda_d": ("d",), "Lambda_HK_prim": ("n", "delta")}
+
+
 def _named_lattice_from_args(args) -> "IntegerLattice":
     name = args.name
-    params = []
-    if name in ("rank1", "Lambda_d"):
-        if args.d is None:
-            raise UsageError(f"{name} requires --d")
-        params = [args.d]
-    elif name == "Lambda_HK_prim":
-        if args.n is None or args.delta is None:
-            raise UsageError("Lambda_HK_prim requires --n and --delta")
-        params = [args.n, args.delta]
-    return build_named_lattice(name, *params)
+    takes = _LATTICE_PARAMS.get(name, ())
+    if any(getattr(args, flag) is None for flag in takes):
+        raise UsageError(f"{name} requires {' and '.join('--' + flag for flag in takes)}")
+    if name in NAMED_LATTICES:
+        for flag in ("d", "n", "delta"):
+            if flag not in takes and getattr(args, flag) is not None:
+                raise UsageError(f"{name} takes no --{flag}")
+    return build_named_lattice(name, *(getattr(args, flag) for flag in takes))
 
 
 def _hard_cap() -> int | None:
@@ -117,9 +120,12 @@ def _hard_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{ENV_CAP} must be an integer, got {raw!r}") from exc
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{ENV_CAP} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _parse_range(text: str) -> range:
@@ -276,6 +282,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

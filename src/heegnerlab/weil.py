@@ -15,11 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .discriminant import DiscriminantGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DIM_CAP = 2000
 
@@ -85,6 +86,8 @@ def build_weil_rep(
     The basis of the group algebra is the canonical element ordering of the
     group (lexicographic residue tuples), which fixes the matrix indexing.
     """
+    import numpy as np
+
     if m % 2 != 0 or m <= 0:
         raise ValueError(f"m must be an even positive integer, got {m}")
     dim = group.order
@@ -116,6 +119,8 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     Failures are reported, not raised: each entry carries the relation name,
     the maximum absolute deviation, and a pass flag.
     """
+    import numpy as np
+
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     s = rep.s_matrix
@@ -137,6 +142,8 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
 
 def t_matrix_order(rep: WeilRepresentation, tol: float = 1e-9, max_order: int | None = None) -> int:
     """Smallest k with T^k = Id to tolerance (the matrix order of T)."""
+    import numpy as np
+
     bound = max_order if max_order is not None else rep.level
     diag = np.diagonal(rep.t_matrix).copy()
     power = np.ones_like(diag)

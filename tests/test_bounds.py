@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heegnerlab.arith import (
+    divisor_sigma_sieve,
     factorize,
     is_squarefree,
     num_divisors,
@@ -11,6 +12,7 @@ from heegnerlab.arith import (
     sigma_power,
 )
 from heegnerlab.bounds import (
+    SandwichReport,
     admissibility_report,
     case_a,
     case_b,
@@ -106,6 +108,63 @@ def test_sandwich_small():
     assert report11.passed
     with pytest.raises(ValueError, match="at least 3"):
         sandwich_check(2, (1, 10))
+
+
+def slow_sigma_sieve(limit, power):
+    """Reference: add d^power to every multiple of every d."""
+    out = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        dp = d**power
+        for k in range(d, limit + 1, d):
+            out[k] += dp
+    return out
+
+
+def test_divisor_sigma_sieve_matches_double_loop_and_sigma_power():
+    for power in range(7):
+        full = divisor_sigma_sieve(3000, power)
+        assert full == slow_sigma_sieve(3000, power)
+        assert full[1:] == [sigma_power(power, m) for m in range(1, 3001)]
+        for limit in range(3001):
+            assert divisor_sigma_sieve(limit, power) == full[: limit + 1]
+    with pytest.raises(ValueError, match="nonnegative"):
+        divisor_sigma_sieve(10, -1)
+
+
+def slow_sandwich_check(k, m_range):
+    """Reference: the sandwich loop that compares every m against the exact
+    partial sum, with no fixed-point pre-filter."""
+    s = k - 1
+    m_lo, m_hi = m_range
+    sigma = slow_sigma_sieve(m_hi, s)
+    failures = []
+    terms = 64
+    zlo = zeta_partial_sum(s, terms)
+    for m in range(m_lo, m_hi + 1):
+        mk = m**s
+        if mk > sigma[m]:
+            failures.append(m)
+            continue
+        while sigma[m] * zlo.denominator > zlo.numerator * mk and terms < m:
+            terms = min(2 * terms, m)
+            zlo = zeta_partial_sum(s, terms)
+        if sigma[m] * zlo.denominator > zlo.numerator * mk:
+            failures.append(m)
+    return SandwichReport(
+        k=k,
+        m_lo=m_lo,
+        m_hi=m_hi,
+        zeta_terms=terms,
+        zeta_lower=float(zlo),
+        zeta_upper=float(zlo + zeta_tail_bound(s, terms)),
+        failures=tuple(failures),
+    )
+
+
+@pytest.mark.parametrize("m_range", [(1, 2000), (37, 5000), (2, 2)])
+def test_sandwich_check_matches_unfiltered_loop(m_range):
+    for k in range(3, 12):
+        assert sandwich_check(k, m_range) == slow_sandwich_check(k, m_range)
 
 
 def test_zeta_bounds_bracket():

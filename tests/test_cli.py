@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from heegnerlab import cli
 from heegnerlab.cli import _render
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -240,3 +241,61 @@ def test_admissible_rejects_d_below_two():
     for d in ("0", "-4"):
         assert_usage_error(run_cli("admissible", "--d", d), "at least 2")
     assert_usage_error(run_cli("admissible", "--g", "1"), "at least 2")
+
+
+def test_parameters_rejected_where_the_lattice_takes_none():
+    assert_usage_error(run_cli("lattice", "info", "--name", "Lambda_C", "--d", "5"), "Lambda_C takes no --d")
+    assert_usage_error(run_cli("weil", "check", "--name", "Lambda_GM", "--delta", "1"), "--delta")
+    assert_usage_error(run_cli("lattice", "info", "--name", "rank1", "--d", "4", "--n", "3"), "--n")
+
+
+def test_env_cap_must_be_a_positive_integer():
+    for raw in ("-5", "0", "ten"):
+        result = run_cli("lattice", "info", "--name", "Lambda_C", env_extra={"HEEGNER_LAB_CAP": raw})
+        assert_usage_error(result, "HEEGNER_LAB_CAP", "positive integer")
+
+
+def test_failed_internal_check_exits_1_without_traceback(monkeypatch, capsys):
+    def failing(args):
+        raise AssertionError("complement rank 6 != 7 for d=14")
+
+    monkeypatch.setattr(cli, "run_embed", failing)
+    assert cli.main(["embed", "--d", "14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: complement rank 6 != 7 for d=14\n"
+
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from heegnerlab.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["lattice", "info", "--name", "Lambda_GM"],
+        ["heegner", "gm", "--d", "26"],
+        ["embed", "--d", "14"],
+        ["bound", "--g", "8"],
+        ["growth", "sandwich", "--k", "6", "--m-max", "2000"],
+    ):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules
+    assert main(["weil", "check", "--name", "Lambda_C"]) == 0
+    assert main(["growth", "estimate", "--series-file", sys.argv[1]]) == 0
+print("ok")
+"""
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps([[n, n**3] for n in range(1, 15)]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(series_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
