@@ -287,6 +287,8 @@ def growth_exponent_estimate(series: Sequence[tuple]) -> float:
     Every row is an (index, value) pair; indices must be positive and finite,
     values finite and nonnegative.
     """
+    import numpy as np
+
     pts = []
     for row in series:
         if not isinstance(row, (tuple, list)) or len(row) != 2:
@@ -301,8 +303,6 @@ def growth_exponent_estimate(series: Sequence[tuple]) -> float:
             pts.append((i, v))
     if len(pts) < 8:
         raise ValueError(f"need at least 8 nonzero entries, got {len(pts)}")
-    import numpy as np
-
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     xbar = xs.mean()
