@@ -15,11 +15,7 @@ from .lattices import (
     orthogonal_complement,
     twist,
 )
-from .discriminant import (
-    DiscriminantGroup,
-    discriminant_group,
-    level,
-)
+from .discriminant import DiscriminantGroup, discriminant_group
 from .enumeration import enumerate_by_norm, first_primitive_vector
 from .weil import (
     RelationCheck,

@@ -17,6 +17,11 @@ if TYPE_CHECKING:
 TRIAL_DIVISION_BOUND = 10**12
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError(f"sieve limit must be nonnegative, got {limit}")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division."""
     n = int(n)
@@ -69,6 +74,7 @@ def is_squarefree(n: int) -> bool:
 
 def prime_sieve(limit: int) -> np.ndarray:
     """Primes up to limit inclusive."""
+    _check_limit(limit)
     import numpy as np
 
     if limit < 2:
@@ -83,6 +89,7 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n) for n = 0..limit (omega(0) set to 0)."""
+    _check_limit(limit)
     import numpy as np
 
     out = np.zeros(limit + 1, dtype=np.int64)
@@ -93,6 +100,7 @@ def omega_sieve(limit: int) -> np.ndarray:
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
     """d(n) for n = 0..limit (d(0) set to 0)."""
+    _check_limit(limit)
     import numpy as np
 
     out = np.zeros(limit + 1, dtype=np.int64)
@@ -107,11 +115,12 @@ def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
     Linear time: a smallest-prime-factor table, then the multiplicative
     recurrence, so only prime powers pay for a power.
     """
+    _check_limit(limit)
     if power < 0:
         raise ValueError(f"exponent must be nonnegative, got {power}")
     spf = list(range(limit + 1))
     # descending, so the smallest prime factor writes last
-    for p in range(math.isqrt(max(limit, 0)), 1, -1):
+    for p in range(math.isqrt(limit), 1, -1):
         spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     out = [0] * (limit + 1)
     if limit >= 1:
@@ -129,6 +138,7 @@ def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Boolean mask of squarefree n for n = 0..limit (0 marked False)."""
+    _check_limit(limit)
     import numpy as np
 
     out = np.ones(limit + 1, dtype=bool)

@@ -47,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     common.add_argument("--meta", action="store_true", help="wrap the payload in a metadata envelope")
 
-    parser = argparse.ArgumentParser(prog="heegnerlab", parents=[common])
+    # --format/--out/--meta belong to each leaf command, so they follow it
+    parser = argparse.ArgumentParser(prog="heegnerlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="subcommand", required=True)
@@ -242,20 +243,21 @@ def _render(payload, args) -> str:
             for row in item.rows():
                 writer.writerow(row)
         return buf.getvalue()
-    if isinstance(payload, list):
-        body = "\n".join(json.dumps(_jsonable(x), sort_keys=False, allow_nan=False) for x in payload)
-    else:
-        body = json.dumps(_jsonable(payload), indent=2, sort_keys=False, allow_nan=False)
+    doc = [_jsonable(x) for x in payload] if isinstance(payload, list) else _jsonable(payload)
     if args.meta:
         envelope = {
-            "payload": json.loads(body) if not isinstance(payload, list) else [json.loads(l) for l in body.splitlines()],
+            "payload": doc,
             "meta": {
                 "tool": "heegnerlab",
                 "version": __version__,
                 "generated_at": datetime.now(timezone.utc).isoformat(),
             },
         }
-        body = json.dumps(envelope, indent=2, sort_keys=False)
+        body = json.dumps(envelope, indent=2, sort_keys=False, allow_nan=False)
+    elif isinstance(payload, list):
+        body = "\n".join(json.dumps(x, sort_keys=False, allow_nan=False) for x in doc)
+    else:
+        body = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
     return body + "\n"
 
 

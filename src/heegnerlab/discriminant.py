@@ -2,8 +2,13 @@
 
 The group is computed from an integer Smith normal form of the Gram matrix.
 Transformation matrices are retained so that every generator carries an
-explicit dual-vector lift; the quadratic form q and the pairing b are then
-exact rational values mod 1, independent of the lift choice.
+explicit dual-vector lift.  With L the common denominator of the lifts, each
+L*g_i is a lattice vector, so the Gram P of the scaled generators is an
+integer matrix, and for residue tuples x, y
+
+    q(x) = x^T P x / (2 L^2) mod 1,    b(x, y) = x^T P y / L^2 mod 1,
+
+exact rational values independent of the lift choice.
 
 Elements are represented as tuples of residues against the elementary
 divisors, which makes them canonical hash keys.
@@ -39,20 +44,20 @@ class DiscriminantGroup:
         generators: tuple[DualVector, ...],
         snf_rows: tuple[tuple[int, ...], ...],
         snf_slots: tuple[int, ...],
-        full_table_cap: int = FULL_TABLE_CAP,
     ):
         self.lattice = lattice
         self.elementary_divisors = elementary_divisors
         self.generators = generators
-        self.full_table_cap = full_table_cap
         self._snf_rows = snf_rows
         self._snf_slots = snf_slots
         self.order = prod(elementary_divisors)
         self._units = tuple(tuple(row) for row in identity(len(elementary_divisors)))
         self._lift_den = lcm(*(g.den for g in generators))
-        self.gen_pairings = tuple(tuple(gi.pairing(gj) for gj in generators) for gi in generators)
+        # L*g_i as integer vectors, and their integer Gram P
+        self._scaled = tuple(tuple(x * (self._lift_den // g.den) for x in g.num) for g in generators)
+        images = [mat_vec(lattice.gram, v) for v in self._scaled]
+        self._pair = tuple(tuple(sum(a * b for a, b in zip(u, w)) for w in images) for u in self._scaled)
         self._q_table: dict[Element, Fraction] | None = None
-        self._b_table: dict[tuple[Element, Element], Fraction] | None = None
         self._level: int | None = None
 
     def __repr__(self) -> str:
@@ -75,38 +80,27 @@ class DiscriminantGroup:
     def neg(self, a: Sequence[int]) -> Element:
         return tuple((-x) % s for x, s in zip(self.reduce(a), self.elementary_divisors))
 
+    def _form(self, x: Element, y: Element) -> int:
+        """x^T P y for reduced residue tuples x, y."""
+        return sum(xi * sum(p * yj for p, yj in zip(row, y)) for xi, row in zip(x, self._pair) if xi)
+
     def q(self, elem: Sequence[int]) -> Fraction:
         """Quadratic value: half the self-pairing of any lift, mod 1."""
         r = self.reduce(elem)
-        total = Fraction(0)
-        for i, ri in enumerate(r):
-            if ri == 0:
-                continue
-            total += Fraction(ri * ri, 2) * self.gen_pairings[i][i]
-            for j in range(i + 1, len(r)):
-                if r[j]:
-                    total += ri * r[j] * self.gen_pairings[i][j]
-        return total % 1
+        n = 2 * self._lift_den**2
+        return Fraction(self._form(r, r) % n, n)
 
     def b(self, a: Sequence[int], other: Sequence[int]) -> Fraction:
         """Bilinear pairing of two elements, mod 1."""
-        ra, rb = self.reduce(a), self.reduce(other)
-        total = Fraction(0)
-        for i, x in enumerate(ra):
-            if x == 0:
-                continue
-            for j, y in enumerate(rb):
-                if y:
-                    total += x * y * self.gen_pairings[i][j]
-        return total % 1
+        n = self._lift_den**2
+        return Fraction(self._form(self.reduce(a), self.reduce(other)) % n, n)
 
     def lift(self, elem: Sequence[int]) -> DualVector:
         """Explicit dual-vector lift of a group element."""
         num = [0] * self.lattice.rank
-        for ri, g in zip(self.reduce(elem), self.generators):
+        for ri, v in zip(self.reduce(elem), self._scaled):
             if ri:
-                c = ri * (self._lift_den // g.den)
-                num = [x + c * y for x, y in zip(num, g.num)]
+                num = [x + ri * y for x, y in zip(num, v)]
         return DualVector.from_scaled(self.lattice, num, self._lift_den)
 
     def element_of(self, v: DualVector) -> Element:
@@ -121,27 +115,15 @@ class DiscriminantGroup:
     def q_values(self) -> dict[Element, Fraction]:
         """Exact q-table: all elements when |D| fits the cap, else generators."""
         if self._q_table is None:
-            if self.order <= self.full_table_cap:
+            if self.order <= FULL_TABLE_CAP:
                 self._q_table = {elem: self.q(elem) for elem in self.elements()}
             else:
                 self._q_table = {u: self.q(u) for u in self._units}
         return self._q_table
 
     @property
-    def b_values(self) -> dict[tuple[Element, Element], Fraction]:
-        """Pairing table mod 1: every pair when the table fits the cap,
-        else generator pairs only.  Arbitrary pairs stay available via b()."""
-        if self._b_table is None:
-            if self.order**2 <= self.full_table_cap:
-                elems = list(self.elements())
-                self._b_table = {(x, y): self.b(x, y) for x in elems for y in elems}
-            else:
-                self._b_table = {(u, w): self.b(u, w) for u in self._units for w in self._units}
-        return self._b_table
-
-    @property
     def q_mode(self) -> str:
-        return "full" if self.order <= self.full_table_cap else "generators-only"
+        return "full" if self.order <= FULL_TABLE_CAP else "generators-only"
 
     @property
     def level(self) -> int:
@@ -166,17 +148,12 @@ class DiscriminantGroup:
         }
 
 
-def discriminant_group(
-    lattice: IntegerLattice,
-    full_table_cap: int | None = None,
-    hard_cap: int | None = None,
-) -> DiscriminantGroup:
+def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> DiscriminantGroup:
     """Compute D(M) with generator lifts via Smith normal form of the Gram."""
     det = gram_determinant(lattice)
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
     order = abs(det)
-    full_cap = FULL_TABLE_CAP if full_table_cap is None else int(full_table_cap)
     hard = HARD_CAP if hard_cap is None else int(hard_cap)
     if order > hard:
         raise ValueError(f"discriminant group order {order} exceeds the hard cap {hard}")
@@ -190,12 +167,8 @@ def discriminant_group(
         generators=generators,
         snf_rows=tuple(tuple(row) for row in u),
         snf_slots=slots,
-        full_table_cap=full_cap,
     )
     if group.order != order:
         raise AssertionError("Smith form inconsistent with |det Gram|")
     return group
 
-
-def level(lattice: IntegerLattice) -> int:
-    return discriminant_group(lattice).level

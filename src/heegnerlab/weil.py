@@ -22,7 +22,7 @@ from .discriminant import DiscriminantGroup
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_DIM_CAP = 2000
+DIM_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ def weight_of(m: int) -> int:
     return 1 + m // 2
 
 
-def build_weil_rep(
-    group: DiscriminantGroup, m: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> WeilRepresentation:
+def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     """Construct the generator matrices for a discriminant group.
 
     The basis of the group algebra is the canonical element ordering of the
@@ -91,8 +89,8 @@ def build_weil_rep(
     if m % 2 != 0 or m <= 0:
         raise ValueError(f"m must be an even positive integer, got {m}")
     dim = group.order
-    if dim > dim_cap:
-        raise ValueError(f"discriminant group order {dim} exceeds the dimension cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise ValueError(f"discriminant group order {dim} exceeds the dimension cap {DIM_CAP}")
     elements = tuple(group.elements())
     t = np.zeros((dim, dim), dtype=complex)
     for k, elem in enumerate(elements):
@@ -140,18 +138,17 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     return checks
 
 
-def t_matrix_order(rep: WeilRepresentation, tol: float = 1e-9, max_order: int | None = None) -> int:
-    """Smallest k with T^k = Id to tolerance (the matrix order of T)."""
+def t_matrix_order(rep: WeilRepresentation, tol: float = 1e-9) -> int:
+    """Smallest k <= rep.level with T^k = Id to tolerance (the matrix order of T)."""
     import numpy as np
 
-    bound = max_order if max_order is not None else rep.level
     diag = np.diagonal(rep.t_matrix).copy()
     power = np.ones_like(diag)
-    for k in range(1, bound + 1):
+    for k in range(1, rep.level + 1):
         power = power * diag
         if float(np.abs(power - 1.0).max()) <= tol:
             return k
-    raise ValueError(f"T has no order up to {bound} at tolerance {tol}")
+    raise ValueError(f"T has no order up to {rep.level} at tolerance {tol}")
 
 
 def relations_pass(checks: Sequence[RelationCheck]) -> bool:

@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 from heegnerlab.arith import (
+    divisor_count_sieve,
     divisor_sigma_sieve,
     factorize,
     is_squarefree,
     num_divisors,
     omega,
+    omega_sieve,
+    prime_sieve,
     sigma_power,
+    squarefree_sieve,
 )
 from heegnerlab.bounds import (
     SandwichReport,
@@ -129,6 +133,17 @@ def test_divisor_sigma_sieve_matches_double_loop_and_sigma_power():
             assert divisor_sigma_sieve(limit, power) == full[: limit + 1]
     with pytest.raises(ValueError, match="nonnegative"):
         divisor_sigma_sieve(10, -1)
+
+
+@pytest.mark.parametrize(
+    "sieve",
+    [prime_sieve, omega_sieve, divisor_count_sieve, squarefree_sieve, lambda limit: divisor_sigma_sieve(limit, 2)],
+    ids=["prime", "omega", "divisor_count", "squarefree", "divisor_sigma"],
+)
+def test_range_sieves_reject_negative_limit(sieve):
+    with pytest.raises(ValueError, match="sieve limit must be nonnegative, got -3"):
+        sieve(-3)
+    assert len(sieve(0)) == (0 if sieve is prime_sieve else 1)
 
 
 def slow_sandwich_check(k, m_range):

@@ -148,6 +148,19 @@ def test_out_flag_and_meta(tmp_path):
     meta = json.loads(run_cli("heegner", "cubic", "--d", "14", "--meta").stdout)
     assert meta["payload"] == doc
     assert meta["meta"]["tool"] == "heegnerlab"
+    plain = run_cli("bound", "--g-range", "2:4").stdout.splitlines()
+    listed = json.loads(run_cli("bound", "--g-range", "2:4", "--meta").stdout)
+    assert listed["payload"] == [json.loads(line) for line in plain]
+    assert len(plain) == 3
+
+
+def test_output_flags_before_the_subcommand_are_rejected(tmp_path):
+    out = tmp_path / "report.json"
+    for flags in (("--out", str(out)), ("--format", "csv"), ("--meta",)):
+        result = run_cli(*flags, "heegner", "cubic", "--d", "14")
+        assert result.returncode == 2, flags
+        assert result.stdout == "" and "usage" in result.stderr
+    assert not out.exists()
 
 
 def test_env_cap_override():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from heegnerlab.discriminant import discriminant_group, level
+from heegnerlab import discriminant
+from heegnerlab.discriminant import discriminant_group
 from heegnerlab.lattices import DualVector, build_named_lattice, disc
 
 from conftest import random_even_gram
@@ -24,6 +25,8 @@ def test_gm_family_group():
     assert len(quarter) == 2
     # the two quarter-classes sum to the half-class
     assert group.q(group.add(*quarter)) == Fraction(1, 2)
+    assert group.b((0, 1), (1, 0)) == 0
+    assert group.b((0, 1), (0, 1)) == Fraction(1, 2)
     assert group.level == 4
 
 
@@ -51,10 +54,10 @@ def test_unimodular_group_is_trivial():
 
 
 def test_levels():
-    assert level(build_named_lattice("Lambda_C")) == 3
-    assert level(build_named_lattice("Lambda_GM")) == 4
+    assert discriminant_group(build_named_lattice("Lambda_C")).level == 3
+    assert discriminant_group(build_named_lattice("Lambda_GM")).level == 4
     for n in range(1, 11):
-        assert level(build_named_lattice("Lambda_HK_prim", n, 1)) == 4 * n
+        assert discriminant_group(build_named_lattice("Lambda_HK_prim", n, 1)).level == 4 * n
 
 
 def test_order_matches_disc_on_randoms(rng):
@@ -130,14 +133,15 @@ def test_element_of_dual_classes():
         group.element_of(DualVector(lat, (Fraction(1, 3),) + (Fraction(0),) * 21))
 
 
-def test_caps():
+def test_caps(monkeypatch):
     big = build_named_lattice("rank1", 2 * 10**6)
     group = discriminant_group(big)
     assert group.q_mode == "generators-only"
     assert len(group.q_values) == 1
     with pytest.raises(ValueError, match="hard cap"):
         discriminant_group(big, hard_cap=10**6)
-    small = discriminant_group(build_named_lattice("A2"), full_table_cap=1)
+    monkeypatch.setattr(discriminant, "FULL_TABLE_CAP", 1)
+    small = discriminant_group(build_named_lattice("A2"))
     assert small.q_mode == "generators-only"
 
 
@@ -153,16 +157,6 @@ def test_singular_rejected():
     degenerate = IntegerLattice(gram=((2, 2), (2, 2)), signature=(1, 0))
     with pytest.raises(ValueError, match="nondegenerate"):
         discriminant_group(degenerate)
-
-
-def test_b_values_table():
-    group = discriminant_group(build_named_lattice("Lambda_GM"))
-    table = group.b_values
-    assert len(table) == 16
-    for (x, y), value in table.items():
-        assert value == group.b(x, y)
-    assert table[((0, 1), (1, 0))] == 0
-    assert table[((0, 1), (0, 1))] == Fraction(1, 2)
 
 
 def test_dual_basis_singular_rejected():

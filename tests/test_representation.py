@@ -1,7 +1,9 @@
 """Property tests for the integer-numerator vector format of DualVector.
 
 Every operation is compared with a per-coordinate Fraction oracle written
-here, on random even Gram matrices and random rational coordinates.
+here, on random even Gram matrices and random rational coordinates.  The
+discriminant forms q and b are checked against the pairings of DualVector
+lifts.
 """
 
 from fractions import Fraction
@@ -89,6 +91,16 @@ def test_element_of_inverts_lift(lattice):
     assume(group.order <= 200)
     for elem in group.elements():
         assert group.element_of(group.lift(elem)) == elem
+
+
+@PROPERTY
+@given(even_lattices(), st.data())
+def test_q_and_b_match_lift_pairings(lattice, data):
+    group = discriminant_group(lattice)
+    elements = st.tuples(*(st.integers(-2 * s, 2 * s) for s in group.elementary_divisors))
+    x, y = data.draw(elements), data.draw(elements)
+    assert group.q(x) == (group.lift(x).norm() / 2) % 1
+    assert group.b(x, y) == group.lift(x).pairing(group.lift(y)) % 1
 
 
 def test_element_of_inverts_lift_rank_one():
