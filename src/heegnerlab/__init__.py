@@ -63,4 +63,21 @@ from .bounds import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DualVector", "IntegerLattice", "build_named_lattice", "direct_sum", "disc",
+    "dual_basis", "gram_determinant", "is_primitive", "lattice_from_jsonable",
+    "make_lattice", "orthogonal_complement", "twist",
+    "DiscriminantGroup", "discriminant_group",
+    "enumerate_by_norm", "first_primitive_vector",
+    "RelationCheck", "WeilRepresentation", "build_weil_rep", "relations_pass",
+    "t_matrix_order", "verify_sl2_relations", "weight_of",
+    "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex", "HilbertSquareRoute",
+    "LabellingWitness", "MomentMatrix", "cubic_heegner_index", "embed_k3_lattice",
+    "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector", "hilb_square_route",
+    "hk_heegner_index", "moment_matrix",
+    "factorize", "is_squarefree", "num_divisors", "omega", "sigma_power",
+    "AdmissibilityReport", "BoundCertificate", "CaseResult", "admissibility_report",
+    "case_a", "case_b", "case_c", "cubic_map_degree", "divisor_bound_check",
+    "fm_partner_count", "growth_exponent_estimate", "heegner_irr_exponent",
+    "irr_bound_certificate", "kudla_irr_exponent", "sandwich_check",
+]

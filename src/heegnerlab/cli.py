@@ -35,6 +35,7 @@ from .lattices import NAMED_LATTICES, build_named_lattice, gram_determinant
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
 ENV_CAP = "HEEGNER_LAB_CAP"
+OUTPUT_FLAGS = ("--format", "--out", "--meta")  # the options of every leaf command
 
 
 class UsageError(ValueError):
@@ -263,6 +264,14 @@ def _render(payload, args) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would blame the flag's value as an invalid subcommand
+    for token in argv:
+        if not token.startswith("-"):
+            break
+        flag = token.split("=", 1)[0]
+        if flag in OUTPUT_FLAGS:
+            parser.error(f"{flag} must follow the subcommand")
     args = parser.parse_args(argv)
     handlers = {
         "lattice": run_lattice_info,

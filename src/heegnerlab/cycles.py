@@ -353,8 +353,9 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     The two E8 summands and both hyperbolic planes map identically onto
     summands of the unimodular target; the rank-one part maps onto the
     lexicographically least primitive vector of norm d in the spare E8
-    block.  The complement basis is an integer kernel basis of rank 7 and
-    the determinant of its half-Gram matrix is checked against d / 2^7.
+    block.  The complement basis is an integer kernel basis of rank 7; its
+    moment matrix is the complement Gram over 2, and its determinant is
+    checked against d / 2^7.
     """
     d = int(d)
     if d <= 0 or d % 2 != 0:
@@ -373,7 +374,8 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     complement, basis = orthogonal_complement(sharp, image)
     if len(basis) != 7:
         raise AssertionError(f"complement rank {len(basis)} != 7 for d={d}")
-    moment = moment_matrix([DualVector.from_scaled(sharp, b) for b in basis])
+    halves = tuple(tuple(Fraction(x, 2) for x in row) for row in complement.gram)
+    moment = MomentMatrix(entries=halves, rank=rational_rank(halves))
     return EmbeddingWitness(
         d=d,
         image_basis=tuple(image),

@@ -17,15 +17,6 @@ def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def transpose(mat) -> list[list]:
-    return [list(col) for col in zip(*mat)] if mat else []
-
-
-def mat_mul(a, b) -> list[list]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(mat, vec) -> list:
     return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 

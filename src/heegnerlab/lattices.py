@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .intlinalg import (
     bareiss_determinant,
-    hermite_row_basis,
     identity,
     invert_rational,
     is_symmetric,
@@ -44,9 +43,6 @@ class IntegerLattice:
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing of two vectors in basis coordinates."""
         return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, list(v)))))
-
-    def norm_of(self, v: Sequence) -> Fraction:
-        return self.pairing(v, v)
 
     def to_jsonable(self) -> dict:
         doc = {}
@@ -306,13 +302,11 @@ def orthogonal_complement(
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]
-    basis = hermite_row_basis(kernel_basis(pairing_rows))
-    induced = [[sum(bi[k] * x for k, x in enumerate(mat_vec(lattice.gram, bj))) for bj in basis] for bi in basis]
+    basis = kernel_basis(pairing_rows)
+    images = [mat_vec(lattice.gram, b) for b in basis]
+    induced = [[sum(x * y for x, y in zip(bi, gbj)) for gbj in images] for bi in basis]
     p, q, z = symmetric_signature(induced) if induced else (0, 0, 0)
-    result = IntegerLattice(
-        gram=tuple(tuple(int(x) for x in row) for row in induced),
-        signature=(p, q),
-    )
+    result = IntegerLattice(gram=tuple(map(tuple, induced)), signature=(p, q))
     return result, [tuple(b) for b in basis]
 
 

@@ -156,10 +156,13 @@ def test_out_flag_and_meta(tmp_path):
 
 def test_output_flags_before_the_subcommand_are_rejected(tmp_path):
     out = tmp_path / "report.json"
-    for flags in (("--out", str(out)), ("--format", "csv"), ("--meta",)):
+    for flags in (("--out", str(out)), ("--format", "csv"), ("--format=csv",), ("--meta",)):
         result = run_cli(*flags, "heegner", "cubic", "--d", "14")
         assert result.returncode == 2, flags
         assert result.stdout == "" and "usage" in result.stderr
+        flag = flags[0].split("=")[0]
+        assert f"{flag} must follow the subcommand" in result.stderr
+        assert "invalid choice" not in result.stderr
     assert not out.exists()
 
 

@@ -171,10 +171,13 @@ def test_embed_examples():
 
 def test_embed_witness_properties_sweep():
     sharp = build_named_lattice("Lambda_sharp")
-    for d in range(2, 41, 2):
+    for d in range(2, 201, 2):
         wit = embed_k3_lattice(d)
         assert wit.image_primitive
         assert len(wit.complement_basis) == 7
+        basis = wit.complement_basis
+        assert wit.complement_gram == tuple(tuple(sharp.pairing(bi, bj) for bj in basis) for bi in basis)
+        assert wit.moment == moment_matrix([DualVector.from_scaled(sharp, b) for b in basis])
         assert wit.moment.rank == 7
         assert wit.moment.is_positive_semidefinite
         assert wit.det_lhs == Fraction(d, 128)

@@ -98,7 +98,7 @@ def test_first_primitive_exists_for_even_norms():
     for d in range(2, 42, 2):
         v = first_primitive_vector(e8, d)
         assert v is not None
-        assert e8.norm_of(v) == d
+        assert e8.pairing(v, v) == d
         assert is_primitive(e8, v)
 
 

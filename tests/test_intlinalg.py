@@ -8,7 +8,6 @@ from heegnerlab.intlinalg import (
     hermite_row_basis,
     invert_rational,
     kernel_basis,
-    mat_mul,
     rational_rank,
     smith_normal_form,
     symmetric_signature,
@@ -26,6 +25,11 @@ def test_bareiss_small_cases():
 def test_fraction_determinant():
     assert fraction_determinant([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
     assert fraction_determinant([]) == 1
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def test_smith_normal_form_properties():
@@ -60,6 +64,7 @@ def test_kernel_basis_is_saturated_kernel():
             assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
         assert len(basis) == m - rational_rank(a)
         if basis:
+            assert hermite_row_basis(basis) == basis
             assert rational_rank(basis) == len(basis)
             assert all(x == 1 for x in elementary_divisors(basis))
 
@@ -70,6 +75,7 @@ def test_hermite_row_basis_canonical():
         m = rng.randint(1, 5)
         rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(rng.randint(1, 4))]
         h1 = hermite_row_basis(rows)
+        assert hermite_row_basis(h1) == h1
         shuffled = [row[:] for row in rows]
         rng.shuffle(shuffled)
         if len(shuffled) > 1:

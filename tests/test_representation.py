@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice
+from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice, orthogonal_complement
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -101,6 +101,19 @@ def test_q_and_b_match_lift_pairings(lattice, data):
     x, y = data.draw(elements), data.draw(elements)
     assert group.q(x) == (group.lift(x).norm() / 2) % 1
     assert group.b(x, y) == group.lift(x).pairing(group.lift(y)) % 1
+
+
+@PROPERTY
+@given(even_lattices(), st.data())
+def test_orthogonal_complement_gram_is_the_pairing_table(lattice, data):
+    vector = st.lists(st.integers(-4, 4), min_size=lattice.rank, max_size=lattice.rank)
+    vectors = data.draw(st.lists(vector, max_size=lattice.rank))
+    complement, basis = orthogonal_complement(lattice, vectors)
+    assert all(lattice.pairing(v, b) == 0 for v in vectors for b in basis)
+    assert complement.rank == len(basis)
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            assert complement.gram[i][j] == lattice.pairing(bi, bj)
 
 
 def test_element_of_inverts_lift_rank_one():
