@@ -1,18 +1,14 @@
 """Elementary arithmetic functions by trial division, plus range sieves.
 
 Single-value functions are exact for inputs up to 10^12; bulk range checks
-go through sieves instead.  `divisor_sigma_sieve` works in exact Python
-ints; `prime_sieve`, `omega_sieve`, `divisor_count_sieve` and
-`squarefree_sieve` return numpy arrays and load numpy when first called.
+go through `multiplicative_sieve`, one exact sieve for any multiplicative
+function given on prime powers, in Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable
 
 TRIAL_DIVISION_BOUND = 10**12
 
@@ -72,52 +68,14 @@ def is_squarefree(n: int) -> bool:
     return all(a == 1 for a in factorize(n).values())
 
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """Primes up to limit inclusive."""
-    _check_limit(limit)
-    import numpy as np
+def multiplicative_sieve(limit: int, at_prime_power: Callable[[int, int, int], int]) -> list[int]:
+    """f(n) for n = 0..limit, for the multiplicative f given on prime powers.
 
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
-def omega_sieve(limit: int) -> np.ndarray:
-    """omega(n) for n = 0..limit (omega(0) set to 0)."""
-    _check_limit(limit)
-    import numpy as np
-
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for p in prime_sieve(limit):
-        out[p::p] += 1
-    return out
-
-
-def divisor_count_sieve(limit: int) -> np.ndarray:
-    """d(n) for n = 0..limit (d(0) set to 0)."""
-    _check_limit(limit)
-    import numpy as np
-
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for k in range(1, limit + 1):
-        out[k::k] += 1
-    return out
-
-
-def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
-    """sigma_power(power, n) for n = 0..limit, as exact Python ints.
-
+    f(0) = 0 and f(1) = 1; f(p^e) is `at_prime_power(f(p^(e-1)), p^e, p)`.
     Linear time: a smallest-prime-factor table, then the multiplicative
-    recurrence, so only prime powers pay for a power.
+    recurrence, so only prime powers call `at_prime_power`.
     """
     _check_limit(limit)
-    if power < 0:
-        raise ValueError(f"exponent must be nonnegative, got {power}")
     spf = list(range(limit + 1))
     # descending, so the smallest prime factor writes last
     for p in range(math.isqrt(limit), 1, -1):
@@ -132,19 +90,12 @@ def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
         q = m // p
         pk = ppart[q] * p if spf[q] == p else p
         ppart[m] = pk
-        out[m] = out[q] + m**power if pk == m else out[pk] * out[m // pk]
+        out[m] = at_prime_power(out[q], m, p) if pk == m else out[pk] * out[m // pk]
     return out
 
 
-def squarefree_sieve(limit: int) -> np.ndarray:
-    """Boolean mask of squarefree n for n = 0..limit (0 marked False)."""
-    _check_limit(limit)
-    import numpy as np
-
-    out = np.ones(limit + 1, dtype=bool)
-    out[0] = False
-    p = 2
-    while p * p <= limit:
-        out[p * p :: p * p] = False
-        p += 1
-    return out
+def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
+    """sigma_power(power, n) for n = 0..limit, as exact Python ints."""
+    if power < 0:
+        raise ValueError(f"exponent must be nonnegative, got {power}")
+    return multiplicative_sieve(limit, lambda prev, pk, p: prev + pk**power)

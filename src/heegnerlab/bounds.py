@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import (
-    divisor_count_sieve,
-    divisor_sigma_sieve,
-    factorize,
-    omega,
-    omega_sieve,
-    squarefree_sieve,
-)
+from .arith import divisor_sigma_sieve, factorize, multiplicative_sieve, omega
 from .cycles import (
     HeegnerIndex,
     cubic_heegner_index,
@@ -237,24 +230,19 @@ class DivisorBoundReport:
 
 def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4) -> DivisorBoundReport:
     """Verify 2^omega(n) <= d(n) on a range, with squarefree equality."""
-    import numpy as np
-
     lo, hi = (int(x) for x in n_range)
     if not (1 <= lo <= hi):
         raise ValueError(f"bad range [{lo}, {hi}]")
-    om = omega_sieve(hi)
-    dc = divisor_count_sieve(hi)
-    vals = np.arange(hi + 1)
-    mask = (vals >= lo)
-    bad = vals[mask & ((1 << om.astype(np.int64)) > dc)]
+    two_omega = multiplicative_sieve(hi, lambda prev, pk, p: 2)
+    dc = divisor_sigma_sieve(hi, 0)
+    bad = [n for n in range(lo, hi + 1) if two_omega[n] > dc[n]]
     sq_hi = min(hi, squarefree_limit)
-    sq = squarefree_sieve(sq_hi)
-    eq = (1 << om[: sq_hi + 1].astype(np.int64)) == dc[: sq_hi + 1]
-    sq_holds = bool(np.all(eq[1:] == sq[1:]))
+    mu2 = multiplicative_sieve(sq_hi, lambda prev, pk, p: int(pk == p))
+    sq_holds = all((two_omega[n] == dc[n]) == bool(mu2[n]) for n in range(1, sq_hi + 1))
     return DivisorBoundReport(
         lo=lo,
         hi=hi,
-        failures=tuple(int(x) for x in bad),
+        failures=tuple(bad),
         squarefree_equality_checked_to=sq_hi,
         squarefree_equality_holds=sq_holds,
     )

@@ -81,14 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--d", type=int, required=True)
 
     admissible = sub.add_parser("admissible", parents=[common])
-    admissible.add_argument("--d", type=int, default=None)
-    admissible.add_argument("--g", type=int, default=None)
-    admissible.add_argument("--g-range", dest="g_range", default=None)
+    selector = admissible.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--d", type=int, default=None)
+    selector.add_argument("--g", type=int, default=None)
+    selector.add_argument("--g-range", dest="g_range", default=None)
     admissible.add_argument("--n-max", dest="n_max", type=int, default=10)
 
     bound = sub.add_parser("bound", parents=[common])
-    bound.add_argument("--g", type=int, default=None)
-    bound.add_argument("--g-range", dest="g_range", default=None)
+    selector = bound.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--g", type=int, default=None)
+    selector.add_argument("--g-range", dest="g_range", default=None)
     bound.add_argument("--n-max", dest="n_max", type=int, default=10)
 
     growth = sub.add_parser("growth").add_subparsers(dest="subcommand", required=True)
@@ -197,19 +199,15 @@ def run_admissible(args) -> tuple[object, int]:
         return admissibility_report(args.d, args.n_max), 0
     if args.g is not None:
         return admissibility_report(2 * args.g - 2, args.n_max), 0
-    if args.g_range is not None:
-        reports = [admissibility_report(2 * g - 2, args.n_max) for g in _parse_range(args.g_range)]
-        return reports, 0
-    raise UsageError("admissible requires one of --d, --g, --g-range")
+    reports = [admissibility_report(2 * g - 2, args.n_max) for g in _parse_range(args.g_range)]
+    return reports, 0
 
 
 def run_bound(args) -> tuple[object, int]:
     if args.g is not None:
         return irr_bound_certificate(args.g, args.n_max), 0
-    if args.g_range is not None:
-        certs = [irr_bound_certificate(g, args.n_max) for g in _parse_range(args.g_range)]
-        return certs, 0
-    raise UsageError("bound requires --g or --g-range")
+    certs = [irr_bound_certificate(g, args.n_max) for g in _parse_range(args.g_range)]
+    return certs, 0
 
 
 def run_growth(args) -> tuple[object, int]:

@@ -105,6 +105,7 @@ class DiscriminantGroup:
 
     def element_of(self, v: DualVector) -> Element:
         """Class of a dual vector in the group."""
+        v.check_lattice(self.lattice)
         gv = mat_vec(self.lattice.gram, v.num)
         if any(x % v.den for x in gv):
             raise ValueError("vector is not in the dual lattice")

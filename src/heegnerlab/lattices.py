@@ -109,8 +109,15 @@ class DualVector:
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(_coord(x, self.den) for x in self.num)
 
+    def check_lattice(self, lattice: IntegerLattice) -> None:
+        """Raise ValueError unless the vector lives in `lattice`."""
+        if self.lattice is not lattice and self.lattice != lattice:
+            raise ValueError("dual vectors live in different lattices")
+
     def pairing(self, other) -> Fraction:
-        if not isinstance(other, DualVector):
+        if isinstance(other, DualVector):
+            other.check_lattice(self.lattice)
+        else:
             other = DualVector(self.lattice, other)
         gv = mat_vec(self.lattice.gram, other.num)
         return Fraction(sum(a * b for a, b in zip(self.num, gv)), self.den * other.den)
@@ -126,8 +133,7 @@ class DualVector:
         return self.den == 1
 
     def __add__(self, other: "DualVector") -> "DualVector":
-        if other.lattice is not self.lattice and other.lattice != self.lattice:
-            raise ValueError("dual vectors live in different lattices")
+        other.check_lattice(self.lattice)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return DualVector.from_scaled(self.lattice, (a * x + b * y for x, y in zip(self.num, other.num)), den)

@@ -111,6 +111,11 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     )
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[RelationCheck]:
     """Check the defining relations to an entrywise tolerance.
 
@@ -119,8 +124,7 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     """
     import numpy as np
 
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     s = rep.s_matrix
     t = rep.t_matrix
     eye = np.eye(rep.dim)
@@ -142,6 +146,7 @@ def t_matrix_order(rep: WeilRepresentation, tol: float = 1e-9) -> int:
     """Smallest k <= rep.level with T^k = Id to tolerance (the matrix order of T)."""
     import numpy as np
 
+    _check_tol(tol)
     diag = np.diagonal(rep.t_matrix).copy()
     power = np.ones_like(diag)
     for k in range(1, rep.level + 1):

@@ -4,16 +4,13 @@ from fractions import Fraction
 import pytest
 
 from heegnerlab.arith import (
-    divisor_count_sieve,
     divisor_sigma_sieve,
     factorize,
     is_squarefree,
+    multiplicative_sieve,
     num_divisors,
     omega,
-    omega_sieve,
-    prime_sieve,
     sigma_power,
-    squarefree_sieve,
 )
 from heegnerlab.bounds import (
     SandwichReport,
@@ -135,15 +132,35 @@ def test_divisor_sigma_sieve_matches_double_loop_and_sigma_power():
         divisor_sigma_sieve(10, -1)
 
 
+# f(p^e) from (f(p^(e-1)), p^e, p), each with its trial-division oracle
+MULTIPLICATIVE_RULES = {
+    "omega": (lambda prev, pk, p: 2, lambda n: 2 ** omega(n)),
+    "divisor_count": (lambda prev, pk, p: prev + 1, num_divisors),
+    "squarefree": (lambda prev, pk, p: int(pk == p), lambda n: int(is_squarefree(n))),
+}
+
+
+def test_multiplicative_sieve_matches_trial_division():
+    limit = 3000
+    for rule, oracle in MULTIPLICATIVE_RULES.values():
+        values = multiplicative_sieve(limit, rule)
+        assert values[0] == 0
+        assert values[1:] == [oracle(n) for n in range(1, limit + 1)]
+    assert divisor_sigma_sieve(limit, 0) == multiplicative_sieve(limit, MULTIPLICATIVE_RULES["divisor_count"][0])
+
+
 @pytest.mark.parametrize(
     "sieve",
-    [prime_sieve, omega_sieve, divisor_count_sieve, squarefree_sieve, lambda limit: divisor_sigma_sieve(limit, 2)],
-    ids=["prime", "omega", "divisor_count", "squarefree", "divisor_sigma"],
+    [
+        *(lambda limit, rule=rule: multiplicative_sieve(limit, rule) for rule, _ in MULTIPLICATIVE_RULES.values()),
+        lambda limit: divisor_sigma_sieve(limit, 2),
+    ],
+    ids=[*MULTIPLICATIVE_RULES, "divisor_sigma"],
 )
 def test_range_sieves_reject_negative_limit(sieve):
     with pytest.raises(ValueError, match="sieve limit must be nonnegative, got -3"):
         sieve(-3)
-    assert len(sieve(0)) == (0 if sieve is prime_sieve else 1)
+    assert sieve(0) == [0]
 
 
 def slow_sandwich_check(k, m_range):

@@ -259,6 +259,21 @@ def test_admissible_rejects_d_below_two():
     assert_usage_error(run_cli("admissible", "--g", "1"), "at least 2")
 
 
+def test_range_selectors_are_mutually_exclusive():
+    for args, flags in (
+        (("admissible", "--d", "10", "--g", "5"), ("--d", "--g")),
+        (("admissible", "--g", "5", "--g-range", "2:3"), ("--g", "--g-range")),
+        (("bound", "--g", "8", "--g-range", "2:3"), ("--g", "--g-range")),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "not allowed with argument" in result.stderr and "Traceback" not in result.stderr
+        assert all(flag in result.stderr.splitlines()[-1] for flag in flags)
+    for command in ("admissible", "bound"):
+        result = run_cli(command)
+        assert result.returncode == 2 and "is required" in result.stderr
+
+
 def test_parameters_rejected_where_the_lattice_takes_none():
     assert_usage_error(run_cli("lattice", "info", "--name", "Lambda_C", "--d", "5"), "Lambda_C takes no --d")
     assert_usage_error(run_cli("weil", "check", "--name", "Lambda_GM", "--delta", "1"), "--delta")

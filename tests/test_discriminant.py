@@ -4,7 +4,7 @@ import pytest
 
 from heegnerlab import discriminant
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.lattices import DualVector, build_named_lattice, disc
+from heegnerlab.lattices import DualVector, build_named_lattice, direct_sum, disc
 
 from conftest import random_even_gram
 
@@ -131,6 +131,13 @@ def test_element_of_dual_classes():
     assert zero == (0, 0)
     with pytest.raises(ValueError, match="dual"):
         group.element_of(DualVector(lat, (Fraction(1, 3),) + (Fraction(0),) * 21))
+
+
+def test_element_of_rejects_a_vector_of_another_lattice():
+    group = discriminant_group(build_named_lattice("A2"))
+    a1a1 = direct_sum(build_named_lattice("A1"), build_named_lattice("A1"))
+    with pytest.raises(ValueError, match="different lattices"):
+        group.element_of(DualVector(a1a1, (2, 0)))
 
 
 def test_caps(monkeypatch):

@@ -7,6 +7,7 @@ from heegnerlab.cycles import _tag_level
 from heegnerlab.enumeration import enumerate_by_norm, first_primitive_vector
 from heegnerlab.lattices import (
     CACHE_SIZE,
+    DualVector,
     build_named_lattice,
     direct_sum,
     disc,
@@ -114,6 +115,17 @@ def test_dual_basis_pairing_identity():
             for j in range(lat.rank):
                 basis_j = tuple(int(i2 == j) for i2 in range(lat.rank))
                 assert v.pairing(basis_j) == (1 if i == j else 0)
+
+
+def test_dual_vectors_of_different_lattices_do_not_pair():
+    a2 = build_named_lattice("A2")
+    a1a1 = direct_sum(build_named_lattice("A1"), build_named_lattice("A1"))
+    u = DualVector(a2, (Fraction(1, 3), Fraction(2, 3)))
+    v = DualVector(a1a1, (1, 0))
+    with pytest.raises(ValueError, match="different lattices"):
+        u.pairing(v)
+    with pytest.raises(ValueError, match="different lattices"):
+        v.pairing(u)
 
 
 def test_dual_basis_values():

@@ -57,6 +57,15 @@ def test_cubic_family_matrices():
     assert relations_pass(verify_sl2_relations(rep, tol=1e-9))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_tolerance_must_be_positive_and_finite(tol):
+    rep = build_weil_rep(discriminant_group(build_named_lattice("Lambda_C")), 20)
+    assert t_matrix_order(rep) == 3 == rep.level
+    for check in (t_matrix_order, verify_sl2_relations):
+        with pytest.raises(ValueError, match="positive and finite"):
+            check(rep, tol=tol)
+
+
 def test_gm_family_matrices():
     group = discriminant_group(build_named_lattice("Lambda_GM"))
     rep = build_weil_rep(group, 20)
