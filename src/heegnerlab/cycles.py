@@ -352,15 +352,17 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
 
     The two E8 summands and both hyperbolic planes map identically onto
     summands of the unimodular target; the rank-one part maps onto the
-    lexicographically least primitive vector of norm d in the spare E8
-    block.  The complement basis is an integer kernel basis of rank 7; its
+    lexicographically least primitive vector w of norm d in the spare E8
+    block.  Those summands are unimodular, so the complement is w-perp inside
+    the spare E8, padded with zeros to the 28 ambient coordinates, and the
+    image is primitive iff w is (its Smith form is 1, ..., 1, gcd w).  The
+    complement basis is an integer kernel basis of rank 7 in row-HNF; its
     moment matrix is the complement Gram over 2, and its determinant is
-    checked against d / 2^7.
+    checked against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
     """
     d = int(d)
     if d <= 0 or d % 2 != 0:
         raise ValueError(f"d must be a positive even integer for an even lattice, got {d}")
-    sharp = build_named_lattice("Lambda_sharp")
     e8 = build_named_lattice("E8")
     w = first_primitive_vector(e8, d)
     if w is None:
@@ -370,8 +372,9 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     units = identity(28)
     image = [tuple(units[i]) for i in (*range(16), *range(24, 28))]
     image.append((0,) * 16 + tuple(w) + (0,) * 4)
-    primitive = all(x == 1 for x in elementary_divisors([list(v) for v in image]))
-    complement, basis = orthogonal_complement(sharp, image)
+    primitive = not elementary_divisors([list(w)])
+    complement, spare = orthogonal_complement(e8, [w])
+    basis = [(0,) * 16 + b + (0,) * 4 for b in spare]
     if len(basis) != 7:
         raise AssertionError(f"complement rank {len(basis)} != 7 for d={d}")
     halves = tuple(tuple(Fraction(x, 2) for x in row) for row in complement.gram)
@@ -379,7 +382,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     return EmbeddingWitness(
         d=d,
         image_basis=tuple(image),
-        complement_basis=tuple(tuple(b) for b in basis),
+        complement_basis=tuple(basis),
         complement_gram=complement.gram,
         moment=moment,
         det_lhs=moment.det,

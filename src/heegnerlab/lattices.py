@@ -40,8 +40,15 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    def check_length(self, v: Sequence) -> None:
+        """Raise ValueError unless `v` has one coordinate per basis vector."""
+        if len(v) != self.rank:
+            raise ValueError(f"vector of length {len(v)} in a lattice of rank {self.rank}")
+
     def pairing(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing of two vectors in basis coordinates."""
+        self.check_length(u)
+        self.check_length(v)
         return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, list(v)))))
 
     def to_jsonable(self) -> dict:
@@ -289,6 +296,7 @@ def dual_basis(lattice: IntegerLattice) -> list[DualVector]:
 
 def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
     """A nonzero lattice vector is primitive iff its coordinate gcd is 1."""
+    lattice.check_length(v)
     coords = [int(x) for x in v]
     if not any(coords):
         raise ValueError("the zero vector is not primitive nor imprimitive")
@@ -302,8 +310,12 @@ def orthogonal_complement(
 
     Returns the complement with its induced Gram matrix together with a basis
     expressed in ambient coordinates.  The integer kernel of the pairing map
-    is saturated, so the complement is a primitive sublattice.
+    is saturated, so the complement is a primitive sublattice.  A complement
+    whose induced Gram is degenerate (possible in an indefinite lattice) is
+    not a lattice here, so it raises ValueError naming the nullity.
     """
+    for v in vectors:
+        lattice.check_length(v)
     vecs = [[int(x) for x in v] for v in vectors]
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
@@ -312,6 +324,8 @@ def orthogonal_complement(
     images = [mat_vec(lattice.gram, b) for b in basis]
     induced = [[sum(x * y for x, y in zip(bi, gbj)) for gbj in images] for bi in basis]
     p, q, z = symmetric_signature(induced) if induced else (0, 0, 0)
+    if z:
+        raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
     result = IntegerLattice(gram=tuple(map(tuple, induced)), signature=(p, q))
     return result, [tuple(b) for b in basis]
 

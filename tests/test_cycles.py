@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heegnerlab.cycles import (
     cubic_heegner_index,
@@ -14,8 +17,14 @@ from heegnerlab.cycles import (
     hk_heegner_index,
     moment_matrix,
 )
-from heegnerlab.intlinalg import bareiss_determinant, fraction_determinant
-from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis
+from heegnerlab.intlinalg import (
+    bareiss_determinant,
+    elementary_divisors,
+    fraction_determinant,
+    identity,
+    symmetric_signature,
+)
+from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, orthogonal_complement
 
 
 def test_cubic_index_examples():
@@ -184,6 +193,46 @@ def test_embed_witness_properties_sweep():
         for img in wit.image_basis:
             for comp in wit.complement_basis:
                 assert sharp.pairing(img, comp) == 0
+
+
+def _pad(spare_vector):
+    """An E8 vector in the spare block of the 28 Lambda_sharp coordinates."""
+    return (0,) * 16 + tuple(spare_vector) + (0,) * 4
+
+
+def test_embed_matches_the_28_dim_complement():
+    """The spare-E8 witness against the complement taken in all of Lambda_sharp."""
+    sharp = build_named_lattice("Lambda_sharp")
+    rng = random.Random(20260)
+    degrees = [*range(2, 401, 2), *(2 * rng.randint(201, 10**6) for _ in range(20))]
+    for d in degrees:
+        wit = embed_k3_lattice(d)
+        complement, basis = orthogonal_complement(sharp, wit.image_basis)
+        assert wit.complement_basis == tuple(basis)
+        assert wit.complement_gram == complement.gram
+        assert complement.signature == (7, 0) == symmetric_signature(wit.complement_gram)[:2]
+        assert wit.image_primitive == (elementary_divisors([list(v) for v in wit.image_basis]) == [])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-6, 6), min_size=8, max_size=8), st.integers(1, 3))
+def test_spare_e8_complement_is_the_28_dim_complement(w, k):
+    """For any primitive w in E8, padded w-perp equals the complement of the
+    image in Lambda_sharp, and the image's Smith form is that of the row w."""
+    assume(any(w))
+    w = [x // gcd(*w) for x in w]
+    e8 = build_named_lattice("E8")
+    sharp = build_named_lattice("Lambda_sharp")
+    spare_complement, spare = orthogonal_complement(e8, [w])
+    units = identity(28)
+    image = [units[i] for i in (*range(16), *range(24, 28))]
+    image.append(list(_pad(k * x for x in w)))
+    complement, basis = orthogonal_complement(sharp, image)
+    assert basis == [_pad(b) for b in spare]
+    assert complement.gram == spare_complement.gram
+    assert complement.signature == spare_complement.signature == (7, 0)
+    expected = [k] if k > 1 else []
+    assert elementary_divisors(image) == elementary_divisors([[k * x for x in w]]) == expected
 
 
 def test_embed_det_is_basis_independent():

@@ -159,6 +159,35 @@ def test_orthogonal_complement_degenerate_cases():
     assert same is e8 and len(ident) == 8
 
 
+def test_degenerate_complement_rejected():
+    u = build_named_lattice("U")
+    with pytest.raises(ValueError, match="degenerate.*nullity 1"):
+        orthogonal_complement(u, [(1, 0)])
+    hk = build_named_lattice("Lambda_HK")  # A1 + U + U + U + E8 + E8
+    isotropic = (0, 1, 0) + (0,) * 20
+    with pytest.raises(ValueError, match="nullity 1"):
+        orthogonal_complement(hk, [isotropic])
+    comp, _ = orthogonal_complement(u, [(1, 1)])
+    assert comp.gram == ((-2,),) and comp.signature == (0, 1)
+
+
+def test_vector_length_must_match_rank():
+    e8 = build_named_lattice("E8")
+    for bad in ((1, 2), (1,) * 9, ()):
+        with pytest.raises(ValueError, match=f"length {len(bad)} in a lattice of rank 8"):
+            orthogonal_complement(e8, [bad])
+        with pytest.raises(ValueError, match="rank 8"):
+            is_primitive(e8, bad)
+        with pytest.raises(ValueError, match="rank 8"):
+            e8.pairing(bad, (1,) * 8)
+        with pytest.raises(ValueError, match="rank 8"):
+            e8.pairing((1,) * 8, bad)
+    with pytest.raises(ValueError, match="rank 8"):
+        e8.pairing((1, 0), (1,))
+    with pytest.raises(ValueError, match="rank 8"):
+        orthogonal_complement(e8, [(1,) + (0,) * 7, (1, 2)])
+
+
 def test_complement_disc_matches_sublattice_in_unimodular():
     e8 = build_named_lattice("E8")
     for d in range(2, 61, 2):
