@@ -15,13 +15,7 @@ from math import isqrt
 from typing import Sequence
 
 from .enumeration import first_primitive_vector
-from .intlinalg import (
-    elementary_divisors,
-    fraction_determinant,
-    identity,
-    rational_rank,
-    symmetric_signature,
-)
+from .intlinalg import elementary_divisors, identity, symmetric_invariants
 from .lattices import CACHE_SIZE, DualVector, build_named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
@@ -60,28 +54,43 @@ class HeegnerIndex:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Half-Gram matrix of a tuple of vectors, with its exact rank."""
+    """Half-Gram matrix of a tuple of vectors.
+
+    Rank, determinant and inertia come from one cached symmetric
+    elimination; construction rejects a matrix that is not square and
+    symmetric.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
-    rank: int
+
+    def __post_init__(self) -> None:
+        self._invariants  # raises ValueError unless square and symmetric
+
+    @functools.cached_property
+    def _invariants(self) -> tuple:
+        return symmetric_invariants(self.entries)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
     @property
+    def rank(self) -> int:
+        p, q, _, _ = self._invariants
+        return p + q
+
+    @property
     def det(self) -> Fraction:
-        return fraction_determinant(self.entries)
+        return Fraction(self._invariants[3])
 
     @property
     def is_positive_semidefinite(self) -> bool:
-        # Inertia is exact over the rationals, so no denominators to clear.
-        _, negatives, _ = symmetric_signature(self.entries)
-        return negatives == 0
+        return self._invariants[1] == 0
 
     def principal_submatrix(self, indices: Sequence[int]) -> "MomentMatrix":
-        sub = tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
-        return MomentMatrix(entries=sub, rank=rational_rank(sub))
+        if any(not 0 <= i < self.size for i in indices):
+            raise ValueError(f"indices {list(indices)} are not all in range({self.size})")
+        return MomentMatrix(entries=tuple(tuple(self.entries[i][j] for j in indices) for i in indices))
 
     def to_jsonable(self) -> dict:
         return {
@@ -344,7 +353,7 @@ def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:
     entries = tuple(
         tuple(vi.pairing(vj) / 2 for vj in vectors) for vi in vectors
     )
-    return MomentMatrix(entries=entries, rank=rational_rank(entries) if vectors else 0)
+    return MomentMatrix(entries=entries)
 
 
 def embed_k3_lattice(d: int) -> EmbeddingWitness:
@@ -378,7 +387,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     if len(basis) != 7:
         raise AssertionError(f"complement rank {len(basis)} != 7 for d={d}")
     halves = tuple(tuple(Fraction(x, 2) for x in row) for row in complement.gram)
-    moment = MomentMatrix(entries=halves, rank=rational_rank(halves))
+    moment = MomentMatrix(entries=halves)
     return EmbeddingWitness(
         d=d,
         image_basis=tuple(image),

@@ -28,101 +28,44 @@ def is_symmetric(mat) -> bool:
     )
 
 
-def bareiss_determinant(mat: Matrix) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def checked_int(x) -> int:
+    """x as an int; ValueError naming x unless it is an integer."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"expected an integer entry, got {x} ({type(x).__name__})")
 
 
-def fraction_determinant(mat) -> Fraction:
-    """Determinant of a rational matrix, via scaling to an integer one."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    return Fraction(bareiss_determinant(scaled), scale ** len(rows))
+def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
+    """Inertia (p, q, z) and determinant of a symmetric rational matrix.
 
-
-def rational_rank(mat) -> int:
-    """Rank of a matrix with rational entries."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def invert_rational(mat) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def symmetric_signature(mat) -> tuple[int, int, int]:
-    """Inertia (p, q, z) of a symmetric rational matrix, exactly.
-
-    Symmetric Gaussian elimination with rational pivots; a remaining block
-    with zero diagonal but a nonzero off-diagonal entry is handled by the
-    usual basis change e_i -> e_i + e_j, which leaves inertia unchanged.
+    One fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968;
+    Cohen, GTM 138, 2.2) on the matrix scaled by the lcm of its denominators.
+    Pivots are diagonal, so the ratio of consecutive pivots is an LDL^T
+    diagonal entry whose sign counts toward p or q.  When every remaining
+    diagonal entry is 0 but an off-diagonal one is not, the congruence
+    e_i -> e_i + e_j makes a nonzero pivot; the entries are bordered minors,
+    linear in row and column i, so the divisions stay exact.  z is the size
+    of the zero block left over; det is an int if no entry has a denominator.
     """
+    if not is_symmetric(mat):
+        raise ValueError("matrix must be square and symmetric")
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
+    if all(type(x) is int for row in mat for x in row):
+        scale, a = 1, [list(row) for row in mat]
+    else:
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     active = list(range(n))
-    p = q = z = 0
+    p, prev = 0, 1
     while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+        piv = next((i for i in active if a[i][i]), None)
         if piv is None:
-            pair = next(
-                ((i, j) for i in active for j in active if i != j and a[i][j] != 0),
-                None,
-            )
+            pair = next(((i, j) for i in active for j in active if a[i][j]), None)
             if pair is None:
-                z += len(active)
                 break
             i, j = pair
             for k in active:
@@ -131,20 +74,17 @@ def symmetric_signature(mat) -> tuple[int, int, int]:
                 a[k][i] += a[k][j]
             piv = i
         d = a[piv][piv]
-        if d > 0:
-            p += 1
-        else:
-            q += 1
+        p += (d > 0) == (prev > 0)
         active.remove(piv)
+        top = a[piv]
         for i in active:
-            if a[i][piv] != 0:
-                f = a[i][piv] / d
-                for j in active:
-                    a[i][j] -= f * a[piv][j]
-                a[i][piv] = Fraction(0)
-        for j in active:
-            a[piv][j] = Fraction(0)
-    return p, q, z
+            row, f = a[i], a[i][piv]
+            for j in active:
+                row[j] = (d * row[j] - f * top[j]) // prev
+        prev = d
+    z = len(active)
+    det = 0 if z else prev if scale == 1 else Fraction(prev, scale**n)
+    return p, n - z - p, z, det
 
 
 def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -1,8 +1,8 @@
 """Even integral lattices: construction, duals, complements, primitivity.
 
 A lattice is presented by its Gram matrix of intersection numbers in a fixed
-basis.  All arithmetic is exact; signatures are computed by symmetric
-elimination over the rationals.
+basis.  All arithmetic is exact; signatures and determinants come from one
+fraction-free symmetric elimination in integers.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .intlinalg import (
-    bareiss_determinant,
+    checked_int,
     identity,
-    invert_rational,
-    is_symmetric,
     kernel_basis,
     mat_vec,
-    symmetric_signature,
+    smith_normal_form,
+    symmetric_invariants,
 )
 
 IntVector = tuple[int, ...]
@@ -154,13 +153,11 @@ class DualVector:
 
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:
     """Build a lattice from an integer Gram matrix, validating evenness."""
-    rows = tuple(tuple(int(x) for x in row) for row in gram)
-    if not is_symmetric(rows):
-        raise ValueError("Gram matrix must be symmetric")
+    rows = tuple(tuple(map(checked_int, row)) for row in gram)
+    p, q, z, _ = symmetric_invariants(rows)
     for i, row in enumerate(rows):
         if row[i] % 2 != 0:
             raise ValueError(f"diagonal entry {row[i]} at position {i} is odd; lattice must be even")
-    p, q, z = symmetric_signature(rows)
     if z:
         raise ValueError("Gram matrix is degenerate")
     return IntegerLattice(gram=rows, signature=(p, q), name=name)
@@ -247,7 +244,7 @@ def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
 def _take_params(name: str, params, count: int):
     if len(params) != count:
         raise ValueError(f"{name} requires {count} integer parameter(s), got {len(params)}")
-    return tuple(int(p) for p in params)
+    return tuple(map(checked_int, params))
 
 
 def _require_even_positive(d: int) -> None:
@@ -278,7 +275,7 @@ def twist(lattice: IntegerLattice) -> IntegerLattice:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def gram_determinant(lattice: IntegerLattice) -> int:
-    return bareiss_determinant(lattice.gram)
+    return symmetric_invariants(lattice.gram)[3]
 
 
 def disc(lattice: IntegerLattice) -> int:
@@ -287,17 +284,24 @@ def disc(lattice: IntegerLattice) -> int:
 
 
 def dual_basis(lattice: IntegerLattice) -> list[DualVector]:
-    """Dual basis vectors as rows of the inverse Gram matrix."""
-    if gram_determinant(lattice) == 0:
+    """Dual basis vectors as rows of the inverse Gram matrix.
+
+    With S = U G V the Smith form, G^-1 = V S^-1 U; over the largest
+    invariant factor L, row i is sum_k V[i][k] (L / s_k) U[k].
+    """
+    s, u, v = smith_normal_form(lattice.gram)
+    diag = [s[k][k] for k in range(lattice.rank)]
+    den = lcm(*diag)
+    if den == 0:
         raise ValueError("dual basis requires a nondegenerate Gram matrix")
-    inv = invert_rational(lattice.gram)
-    return [DualVector(lattice, tuple(row)) for row in inv]
+    cols = list(zip(*([den // x * y for y in row] for x, row in zip(diag, u))))
+    return [DualVector.from_scaled(lattice, mat_vec(cols, row), den) for row in v]
 
 
 def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
     """A nonzero lattice vector is primitive iff its coordinate gcd is 1."""
     lattice.check_length(v)
-    coords = [int(x) for x in v]
+    coords = [checked_int(x) for x in v]
     if not any(coords):
         raise ValueError("the zero vector is not primitive nor imprimitive")
     return gcd(*coords) == 1
@@ -316,14 +320,14 @@ def orthogonal_complement(
     """
     for v in vectors:
         lattice.check_length(v)
-    vecs = [[int(x) for x in v] for v in vectors]
+    vecs = [[checked_int(x) for x in v] for v in vectors]
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]
     basis = kernel_basis(pairing_rows)
     images = [mat_vec(lattice.gram, b) for b in basis]
     induced = [[sum(x * y for x, y in zip(bi, gbj)) for gbj in images] for bi in basis]
-    p, q, z = symmetric_signature(induced) if induced else (0, 0, 0)
+    p, q, z, _ = symmetric_invariants(induced)
     if z:
         raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
     result = IntegerLattice(gram=tuple(map(tuple, induced)), signature=(p, q))

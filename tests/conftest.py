@@ -1,8 +1,11 @@
-"""Shared helpers: an independent box-scan oracle and random lattice factories.
+"""Shared helpers: independent oracles and random lattice factories.
 
 The box oracle is deliberately a different algorithm from the production
 enumerator: it scans an integer box sized from the inverse Gram diagonal and
-filters by exact norm, with no tree pruning involved.
+filters by exact norm, with no tree pruning involved.  The elimination
+oracles (Bareiss determinant, Gauss-Jordan rank, inverse and inertia over
+Fraction) are the routines that `intlinalg.symmetric_invariants` replaced,
+kept here to check it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +24,128 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from heegnerlab.intlinalg import bareiss_determinant, invert_rational
+from heegnerlab.intlinalg import Matrix
 from heegnerlab.lattices import DualVector, IntegerLattice, make_lattice
+
+
+def bareiss_determinant(mat: Matrix) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def fraction_determinant(mat) -> Fraction:
+    """Determinant of a rational matrix, via scaling to an integer one."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    return Fraction(bareiss_determinant(scaled), scale ** len(rows))
+
+
+def rational_rank(mat) -> int:
+    """Rank of a matrix with rational entries."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def invert_rational(mat) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def symmetric_signature(mat) -> tuple[int, int, int]:
+    """Inertia (p, q, z) of a symmetric rational matrix, exactly.
+
+    Symmetric Gaussian elimination with rational pivots; a remaining block
+    with zero diagonal but a nonzero off-diagonal entry is handled by the
+    usual basis change e_i -> e_i + e_j, which leaves inertia unchanged.
+    """
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    active = list(range(n))
+    p = q = z = 0
+    while active:
+        piv = next((i for i in active if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in active for j in active if i != j and a[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                z += len(active)
+                break
+            i, j = pair
+            for k in active:
+                a[i][k] += a[j][k]
+            for k in active:
+                a[k][i] += a[k][j]
+            piv = i
+        d = a[piv][piv]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+        active.remove(piv)
+        for i in active:
+            if a[i][piv] != 0:
+                f = a[i][piv] / d
+                for j in active:
+                    a[i][j] -= f * a[piv][j]
+                a[i][piv] = Fraction(0)
+        for j in active:
+            a[piv][j] = Fraction(0)
+    return p, q, z
+
 
 
 def box_norm_table(lattice: IntegerLattice, max_norm, coset: DualVector | None = None):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.cycles import (
+    MomentMatrix,
     cubic_heegner_index,
     embed_k3_lattice,
     gm_heegner_index,
@@ -17,14 +18,10 @@ from heegnerlab.cycles import (
     hk_heegner_index,
     moment_matrix,
 )
-from heegnerlab.intlinalg import (
-    bareiss_determinant,
-    elementary_divisors,
-    fraction_determinant,
-    identity,
-    symmetric_signature,
-)
+from heegnerlab.intlinalg import elementary_divisors, identity
 from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, orthogonal_complement
+
+from conftest import bareiss_determinant, fraction_determinant, symmetric_signature
 
 
 def test_cubic_index_examples():
@@ -156,6 +153,20 @@ def test_moment_matrix_mixed_lattices_rejected():
     v2 = DualVector(a2, (Fraction(1), Fraction(0)))
     with pytest.raises(ValueError, match="single ambient"):
         moment_matrix([v1, v2])
+
+
+def test_moment_matrix_must_be_square_and_symmetric():
+    with pytest.raises(ValueError, match="square and symmetric"):
+        MomentMatrix(entries=((1, 2), (0, 1)))
+    with pytest.raises(ValueError, match="square and symmetric"):
+        MomentMatrix(entries=((1, 2),))
+    half = Fraction(1, 2)
+    mm = MomentMatrix(entries=((1, half), (half, 1)))
+    assert (mm.rank, mm.det, mm.is_positive_semidefinite) == (2, Fraction(3, 4), True)
+    assert mm.principal_submatrix([1]).entries == ((1,),)
+    for bad in ([-1], [2], [0, 2]):
+        with pytest.raises(ValueError, match=r"range\(2\)"):
+            mm.principal_submatrix(bad)
 
 
 def test_moment_of_norm_2n_vector():

@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from heegnerlab.intlinalg import (
-    bareiss_determinant,
     elementary_divisors,
-    fraction_determinant,
     hermite_row_basis,
-    invert_rational,
     kernel_basis,
-    rational_rank,
     smith_normal_form,
+    symmetric_invariants,
+)
+
+from conftest import (
+    bareiss_determinant,
+    fraction_determinant,
+    invert_rational,
+    rational_rank,
     symmetric_signature,
 )
 
@@ -94,3 +102,77 @@ def test_signature_cases():
     assert symmetric_signature([[2, 1], [1, 2]]) == (2, 0, 0)
     assert symmetric_signature([[-2]]) == (0, 1, 0)
     assert symmetric_signature([[0, 0], [0, 0]]) == (0, 0, 2)
+
+
+def test_symmetric_invariants_cases():
+    assert symmetric_invariants([]) == (0, 0, 0, 1)
+    assert symmetric_invariants([[0, 1], [1, 0]]) == (1, 1, 0, -1)
+    assert symmetric_invariants([[2, 1], [1, 2]]) == (2, 0, 0, 3)
+    assert symmetric_invariants([[-2]]) == (0, 1, 0, -2)
+    assert symmetric_invariants([[0, 0], [0, 0]]) == (0, 0, 2, 0)
+    assert symmetric_invariants([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]) == (1, 1, 0, Fraction(-1, 6))
+    # Zero diagonal throughout: U + U needs the congruence step twice.
+    u2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert symmetric_invariants(u2) == (2, 2, 0, 1)
+    assert type(symmetric_invariants([[2, -1], [-1, 2]])[3]) is int
+
+
+def test_symmetric_invariants_rejects_non_symmetric():
+    for bad in ([[1, 2]], [[1, 2], [0, 1]], [[1], [1, 1]]):
+        with pytest.raises(ValueError, match="square and symmetric"):
+            symmetric_invariants(bad)
+
+
+def _symmetric(n, entry):
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            mat[i][j] = mat[j][i] = entry(i, j)
+    return mat
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+U_U_A2 = [
+    [0, 1, 0, 0, 0, 0],
+    [1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0],
+    [0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 2, -1],
+    [0, 0, 0, 0, -1, 2],
+]
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """Symmetric rational matrices up to 8x8 of four kinds: generic, singular
+    (B D B^T of lower rank), zero diagonal, and unimodular congruences of
+    U + U + A2."""
+    kind = draw(st.sampled_from(("generic", "singular", "zero_diagonal", "congruent")))
+    n = draw(st.integers(0, 8)) if kind != "congruent" else 6
+    if kind == "generic":
+        return _symmetric(n, lambda i, j: draw(RATIONALS))
+    if kind == "zero_diagonal":
+        return _symmetric(n, lambda i, j: 0 if i == j else draw(RATIONALS))
+    if kind == "singular":
+        r = draw(st.integers(0, max(n - 1, 0)))
+        b = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
+        d = [draw(RATIONALS) for _ in range(r)]
+        return _symmetric(n, lambda i, j: sum(b[i][k] * d[k] * b[j][k] for k in range(r)))
+    m = [row[:] for row in U_U_A2]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        c = draw(st.integers(-2, 2))
+        if i != j:  # e_i -> e_i + c e_j on rows, then on columns
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += c * row[j]
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_rational_matrices())
+def test_symmetric_invariants_match_the_fraction_oracles(mat):
+    p, q, z, det = symmetric_invariants(mat)
+    assert (p, q, z) == symmetric_signature(mat)
+    assert det == fraction_determinant(mat)
+    assert p + q == rational_rank(mat)

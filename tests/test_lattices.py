@@ -20,6 +20,8 @@ from heegnerlab.lattices import (
     twist,
 )
 
+from conftest import invert_rational, random_even_gram
+
 
 def test_hyperbolic_plane():
     u = build_named_lattice("U")
@@ -229,3 +231,44 @@ def test_lattice_caches_stay_bounded():
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+def test_integer_entries_are_checked_not_truncated():
+    e8 = build_named_lattice("E8")
+    half = (Fraction(1, 2),) + (0,) * 7
+    with pytest.raises(ValueError, match="1.5"):
+        make_lattice([[2, 1.5], [1.5, 2]])
+    with pytest.raises(ValueError, match="1.5"):
+        lattice_from_jsonable({"gram": [[2, 1.5], [1.5, 2]]})
+    with pytest.raises(ValueError, match="1/2"):
+        is_primitive(e8, (Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="2.7"):
+        is_primitive(e8, (2.7, 1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="1/2"):
+        orthogonal_complement(e8, [half])
+    with pytest.raises(ValueError, match="2.5"):
+        build_named_lattice("rank1", 2.5)
+    with pytest.raises(ValueError, match=r"2 \(str\)"):
+        make_lattice([["2"]])
+    # Integral values of another type are integers.
+    assert make_lattice([[Fraction(2)]]).gram == ((2,),)
+    assert is_primitive(e8, (Fraction(1), 0, 0, 0, 0, 0, 0, 0))
+
+
+NAMED_FIXED = ("U", "A1", "A2", "E8", "Lambda_C", "Lambda_GM", "Lambda_HK", "Lambda_sharp")
+
+
+def test_dual_basis_is_the_inverse_gram(rng):
+    lattices = [build_named_lattice(name) for name in NAMED_FIXED]
+    lattices += [
+        build_named_lattice("rank1", 2000002),
+        build_named_lattice("Lambda_HK_prim", 7, 1),
+        build_named_lattice("Lambda_HK_prim", 3, 2),
+        build_named_lattice("Lambda_d", 14),
+    ]
+    lattices += [random_even_gram(rng, rng.randint(1, 6)) for _ in range(300)]
+    for lattice in lattices:
+        inverse = [DualVector(lattice, row) for row in invert_rational(lattice.gram)]
+        assert dual_basis(lattice) == inverse
+    empty = make_lattice([])
+    assert dual_basis(empty) == []

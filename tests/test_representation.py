@@ -13,8 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.intlinalg import bareiss_determinant, identity, kernel_basis, rational_rank
+from heegnerlab.intlinalg import identity, kernel_basis
 from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice, orthogonal_complement
+
+from conftest import bareiss_determinant, rational_rank
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
