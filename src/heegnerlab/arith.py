@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .intlinalg import checked_int
+
 TRIAL_DIVISION_BOUND = 10**12
 
 
@@ -20,7 +22,7 @@ def _check_limit(limit: int) -> None:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division."""
-    n = int(n)
+    n = checked_int(n, "n")
     if n < 1:
         raise ValueError(f"factorization needs a positive integer, got {n}")
     if n > TRIAL_DIVISION_BOUND:

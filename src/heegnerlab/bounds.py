@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import divisor_sigma_sieve, factorize, multiplicative_sieve, omega
+from .intlinalg import checked_int
 from .cycles import (
     HeegnerIndex,
     cubic_heegner_index,
@@ -41,7 +42,7 @@ class CaseResult:
 
 
 def _check_even(d: int) -> int:
-    d = int(d)
+    d = checked_int(d, "d")
     if d % 2 != 0:
         raise ValueError(f"d must be even, got {d}")
     return d
@@ -83,7 +84,7 @@ def case_c(d: int, n_max: int) -> list[tuple[int, int]]:
     d = _check_even(d)
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    n_max = int(n_max)
+    n_max = checked_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     out = []
@@ -113,7 +114,7 @@ def fm_partner_count(g: int) -> int:
     The printed exponent is negative at omega(g-1) = 0 (g = 2); a surface is
     always its own partner, so the exponent is clamped at zero.
     """
-    g = int(g)
+    g = checked_int(g, "g")
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
     return 2 ** max(omega(g - 1) - 1, 0)
@@ -167,10 +168,10 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
     it decides every m (always possible, because the divisor sum of m is
     dominated by the partial sum with m terms).
     """
-    k = int(k)
+    k = checked_int(k, "k")
     if k < 3:
         raise ValueError(f"weight must be at least 3, got {k}")
-    m_lo, m_hi = (int(x) for x in m_range)
+    m_lo, m_hi = (checked_int(x, "m_range bound") for x in m_range)
     if not (1 <= m_lo <= m_hi):
         raise ValueError(f"bad range [{m_lo}, {m_hi}]")
     s = k - 1
@@ -230,13 +231,13 @@ class DivisorBoundReport:
 
 def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4) -> DivisorBoundReport:
     """Verify 2^omega(n) <= d(n) on a range, with squarefree equality."""
-    lo, hi = (int(x) for x in n_range)
+    lo, hi = (checked_int(x, "n_range bound") for x in n_range)
     if not (1 <= lo <= hi):
         raise ValueError(f"bad range [{lo}, {hi}]")
     two_omega = multiplicative_sieve(hi, lambda prev, pk, p: 2)
     dc = divisor_sigma_sieve(hi, 0)
     bad = [n for n in range(lo, hi + 1) if two_omega[n] > dc[n]]
-    sq_hi = min(hi, squarefree_limit)
+    sq_hi = min(hi, checked_int(squarefree_limit, "squarefree_limit"))
     mu2 = multiplicative_sieve(sq_hi, lambda prev, pk, p: int(pk == p))
     sq_holds = all((two_omega[n] == dc[n]) == bool(mu2[n]) for n in range(1, sq_hi + 1))
     return DivisorBoundReport(
@@ -385,9 +386,10 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
     with exponent 14 and multiplier 2^omega(g-1), witnessed by the rank-7
     moment matrix with determinant d / 2^7.
     """
-    g = int(g)
+    g = checked_int(g, "g")
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
+    n_max = checked_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     d = 2 * g - 2

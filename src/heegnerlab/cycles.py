@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Sequence
 
 from .enumeration import first_primitive_vector
-from .intlinalg import elementary_divisors, identity, symmetric_invariants
+from .intlinalg import checked_int, elementary_divisors, identity, symmetric_invariants
 from .lattices import CACHE_SIZE, DualVector, build_named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
@@ -202,7 +202,7 @@ class EmbeddingWitness:
 
 def cubic_heegner_index(d: int) -> HeegnerIndex:
     """Coset rule for the cubic-fourfold locus of discriminant d."""
-    d = int(d)
+    d = checked_int(d, "d")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     r = d % 6
@@ -214,8 +214,8 @@ def cubic_heegner_index(d: int) -> HeegnerIndex:
     return HeegnerIndex(n=Fraction(d, 6), gamma=gamma, lattice_tag="Lambda_C")
 
 
-def _gm_check_residue(d: int) -> int:
-    d = int(d)
+def _gm_check_residue(d: int) -> tuple[int, int]:
+    d = checked_int(d, "d")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     r = d % 8
@@ -223,7 +223,7 @@ def _gm_check_residue(d: int) -> int:
         raise ValueError(
             f"d = {d} has d = {r} (mod 8); the labelling exists only for d = 0, 2, or 4 (mod 8)"
         )
-    return r
+    return d, r
 
 
 def gm_labelling_gram(d: int) -> tuple[Gram, ...]:
@@ -233,7 +233,7 @@ def gm_labelling_gram(d: int) -> tuple[Gram, ...]:
     The corner entry is odd in the d = 2 (mod 8) case, so these are plain
     symmetric integer matrices, not even lattices.
     """
-    r = _gm_check_residue(d)
+    d, r = _gm_check_residue(d)
     if r == 0:
         return (((2, 0, 0), (0, 2, 0), (0, 0, d // 4)),)
     if r == 4:
@@ -267,7 +267,7 @@ def gm_residue_vector(d: int) -> tuple[LabellingWitness, ...]:
     The d = 2 (mod 8) case produces one vector per labelling orbit, each
     checked inside its own Gram matrix.
     """
-    r = _gm_check_residue(d)
+    d, r = _gm_check_residue(d)
     grams = gm_labelling_gram(d)
     half = Fraction(1, 2)
     one = Fraction(1)
@@ -284,7 +284,7 @@ def gm_residue_vector(d: int) -> tuple[LabellingWitness, ...]:
 
 def gm_heegner_index(d: int) -> tuple[HeegnerIndex, ...]:
     """Heegner indices for the Gushel-Mukai locus of discriminant d."""
-    r = _gm_check_residue(d)
+    d, r = _gm_check_residue(d)
     n = Fraction(d, 8)
     if r == 0:
         gammas = ("0",)
@@ -302,7 +302,7 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
     lattice: N = 4n for split polarization (delta 1) and N = n for delta 2.
     gamma ranges over the whole discriminant group.
     """
-    n, delta, d = int(n), int(delta), int(d)
+    n, delta, d = checked_int(n, "n"), checked_int(delta, "delta"), checked_int(d, "d")
     if delta not in (1, 2):
         raise ValueError(f"delta must be 1 or 2, got {delta}")
     if n <= 0:
@@ -327,7 +327,7 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
 
 def hilb_square_route(g: int, n: int) -> HilbertSquareRoute:
     """Recast genus g through the Hilbert square when d/2 - n is a square."""
-    g, n = int(g), int(n)
+    g, n = checked_int(g, "g"), checked_int(n, "n")
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
     if n <= 0:
@@ -369,7 +369,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     moment matrix is the complement Gram over 2, and its determinant is
     checked against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
     """
-    d = int(d)
+    d = checked_int(d, "d")
     if d <= 0 or d % 2 != 0:
         raise ValueError(f"d must be a positive even integer for an even lattice, got {d}")
     e8 = build_named_lattice("E8")

@@ -1,9 +1,11 @@
 """Vector enumeration in positive definite lattices.
 
-Fincke-Pohst style traversal over a rational Cholesky decomposition.  All
-interval bounds are computed with integer square roots and all acceptance
-checks are exact rational comparisons, so no boundary vector is ever gained
-or lost to rounding.
+Fincke-Pohst traversal (Fincke & Pohst, Math. Comp. 44, 1985) in Python
+integers only.  A fraction-free LDL^T (Bareiss, Math. Comp. 22, 1968) writes
+the form as a sum of squares of integer linear forms over integer weights;
+scaling the target norm by one common integer turns every interval bound into
+an integer square root and every acceptance check into an integer equality,
+so no boundary vector is ever gained or lost to rounding.
 
 Vectors are produced in ascending lexicographic order of their coordinates,
 which makes full enumerations canonically sorted and lets searches for a
@@ -13,106 +15,89 @@ distinguished representative stop at the first hit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
-from typing import Iterator
+from math import gcd, isfinite, isqrt, lcm
+from numbers import Rational
+from typing import Iterator, Sequence
 
 from .lattices import DualVector, IntegerLattice
 
-Shift = tuple[Fraction, ...]
 
+def _decompose(lattice: IntegerLattice) -> list[list[int]]:
+    """Fraction-free LDL^T of the coordinate-reversed Gram matrix.
 
-def _cholesky(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Rational decomposition Q(z) = sum_i d_i (z_i + sum_{j>i} u_ij z_j)^2.
-
-    Raises if the form is not positive definite.
+    Row l is taken at its pivot step, so rows[l][l] is the leading minor
+    D_{l+1} (with D_0 = 1) and, for z in reversed coordinates,
+    Q(z) = sum_l (sum_{j>=l} rows[l][j] z_j)^2 / (D_l D_{l+1}).
+    Raises unless every pivot is positive (Sylvester's criterion).
     """
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
+    n = lattice.rank
+    rows = [[lattice.gram[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    prev = 1
+    for l, top in enumerate(rows):
+        d = top[l]
+        if d <= 0:
             raise ValueError("enumeration requires definite lattice (positive definite Gram)")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    u = [[q[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
-    return d, u
+        for row in rows[l + 1 :]:
+            f = row[l]
+            for j in range(l + 1, n):
+                row[j] = (d * row[j] - f * top[j]) // prev
+        prev = d
+    return rows
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _integer_interval(t: Fraction, d: Fraction, budget: Fraction) -> range:
-    """Integers x with d*(x + t)^2 <= budget, as a range.
-
-    The admissible set is the integer slice of [-t - r, -t + r] with
-    r = sqrt(budget/d); the integer square root gives candidates off by at
-    most one on each side, fixed up by exact comparisons.
-    """
-    if budget < 0:
-        return range(0)
-    r = _floor_sqrt(budget / d)
-
-    def ok(x: int) -> bool:
-        y = x + t
-        return d * y * y <= budget
-
-    lo = ceil(-r - t) - 1
-    hi = floor(r - t) + 1
-    while lo <= hi and not ok(lo):
-        lo += 1
-    while hi >= lo and not ok(hi):
-        hi -= 1
-    return range(lo, hi + 1)
+def _exact_norm(norm) -> Fraction:
+    if isinstance(norm, Rational) or (isinstance(norm, float) and isfinite(norm)):
+        return Fraction(norm)
+    raise ValueError(f"norm must be a rational number or a finite float, got {norm!r}")
 
 
 def lex_stream(
-    lattice: IntegerLattice, norm: Fraction, shift: Shift | None = None
+    lattice: IntegerLattice, norm, num: Sequence[int] | None = None, den: int = 1
 ) -> Iterator[tuple[int, ...]]:
-    """All integer x with <x+s, x+s> = norm, in lex order of x.
+    """All integer x with <x + num/den, x + num/den> = norm, in lex order of x.
 
-    The Cholesky recursion runs on the coordinate-reversed Gram matrix so the
-    first coordinate is chosen in the outermost loop; iterating each level in
-    ascending order then yields solutions in ascending lexicographic order.
+    The recursion runs on the coordinate-reversed Gram matrix so the first
+    coordinate is chosen in the outermost loop.  With w = den*x + num, level l
+    of the decomposition contributes t_l^2 / (den^2 D_l D_{l+1}), where
+    t_l = sum_{j>=l} rows[l][j] w_j is an integer.  Multiplying the target
+    Nn/Nd by den^2 K Nd, K = lcm_l(D_l D_{l+1}), gives an integer budget and
+    integer weights k_l, and t^2 k <= budget holds exactly when
+    |t| <= isqrt(budget // k).  Each level runs in ascending order, so
+    solutions come out in ascending lexicographic order.
     """
-    n = lattice.rank
-    target = Fraction(norm)
+    rows = _decompose(lattice)
+    target = _exact_norm(norm)
     if target < 0:
-        return
+        raise ValueError("norm must be nonnegative in a positive definite lattice")
+    n = lattice.rank
     if n == 0:
         if target == 0:
             yield ()
         return
-    s = tuple(Fraction(x) for x in (shift or (0,) * n))
-    rev_gram = [[lattice.gram[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    rev_shift = [s[n - 1 - i] for i in range(n)]
-    d, u = _cholesky(rev_gram)
+    shift = [0] * n if num is None else list(num)[::-1]
+    pivots = [rows[l][l] for l in range(n)]
+    minors = [p * a for p, a in zip([1] + pivots, pivots)]
+    scale = lcm(*minors)
+    weights = [scale * target.denominator // m for m in minors]
+    ws = [0] * n
 
-    def descend(lvl: int, budget: Fraction, zs: list[Fraction]) -> Iterator[tuple[int, ...]]:
-        center = rev_shift[lvl]
-        for j in range(lvl + 1, n):
-            center += u[lvl][j] * zs[j]
-        for x in _integer_interval(center, d[lvl], budget):
-            y = x + center
-            cost = d[lvl] * y * y
-            zs[lvl] = Fraction(x) + rev_shift[lvl]
-            if lvl == 0:
+    def descend(l: int, budget: int) -> Iterator[tuple[int, ...]]:
+        row, k, s = rows[l], weights[l], shift[l]
+        c = row[l] * s + sum(row[j] * ws[j] for j in range(l + 1, n))
+        step = den * row[l]
+        r = isqrt(budget // k)
+        for x in range(-((r + c) // step), (r - c) // step + 1):
+            t = step * x + c
+            cost = t * t * k
+            if l == 0:
                 if cost == budget:
                     yield (x,)
             else:
-                for tail in descend(lvl - 1, budget - cost, zs):
-                    yield tail + (x,)
+                ws[l] = den * x + s
+                for tail in descend(l - 1, budget - cost):
+                    yield (x,) + tail
 
-    zs: list[Fraction] = [Fraction(0)] * n
-    for rev_sol in descend(n - 1, target, zs):
-        yield tuple(reversed(rev_sol))
+    yield from descend(n - 1, target.numerator * den * den * scale)
 
 
 def enumerate_by_norm(
@@ -125,23 +110,20 @@ def enumerate_by_norm(
     Only positive definite lattices are accepted; the caller twists negative
     definite ones first.
     """
-    target = Fraction(norm)
-    if target < 0:
-        raise ValueError("norm must be nonnegative in a positive definite lattice")
     if coset is None:
-        return [DualVector.from_scaled(lattice, x) for x in lex_stream(lattice, target)]
+        return [DualVector.from_scaled(lattice, x) for x in lex_stream(lattice, norm)]
     if coset.lattice != lattice:
         raise ValueError("coset representative lives in a different lattice")
     num, den = coset.num, coset.den
     return [
         DualVector.from_scaled(lattice, (s + den * c for s, c in zip(num, x)), den)
-        for x in lex_stream(lattice, target, coset.coords)
+        for x in lex_stream(lattice, norm, num, den)
     ]
 
 
 def first_primitive_vector(lattice: IntegerLattice, norm) -> tuple[int, ...] | None:
     """Lexicographically least primitive lattice vector of the given norm."""
-    for x in lex_stream(lattice, Fraction(norm)):
+    for x in lex_stream(lattice, norm):
         if gcd(*x) == 1:
             return x
     return None

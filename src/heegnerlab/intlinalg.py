@@ -28,14 +28,14 @@ def is_symmetric(mat) -> bool:
     )
 
 
-def checked_int(x) -> int:
-    """x as an int; ValueError naming x unless it is an integer."""
+def checked_int(x, name: str = "entry") -> int:
+    """x as an int; ValueError naming `name` and x unless x is an integer."""
     try:
         if int(x) == x:
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"expected an integer entry, got {x} ({type(x).__name__})")
+    raise ValueError(f"{name} must be an integer, got {x} ({type(x).__name__})")
 
 
 def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
@@ -93,7 +93,7 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     U and V are unimodular; S is diagonal with nonnegative entries satisfying
     the divisibility chain S[0][0] | S[1][1] | ...
     """
-    a = [[int(x) for x in row] for row in mat]
+    a = [[checked_int(x) for x in row] for row in mat]
     n = len(a)
     m = len(a[0]) if n else 0
     u = identity(n)
@@ -194,7 +194,7 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Pivots are positive, entries above a pivot are reduced to [0, pivot),
     and zero rows are dropped.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
+    work = [list(map(checked_int, r)) for r in rows if any(r)]
     if not work:
         return []
     m = len(work[0])

@@ -317,3 +317,36 @@ def test_certificate_serialization_round_trip():
     assert json.dumps(json.loads(blob1), indent=2) == blob1
     doc = json.loads(blob1)
     assert doc["conventions"]["fm_partner_exponent"] == "max(omega(g-1) - 1, 0)"
+
+
+_NON_INTEGER_CALLS = [
+    (irr_bound_certificate, (14.7,), "g"),
+    (irr_bound_certificate, (14, 2.5), "n_max"),
+    (irr_bound_certificate, (2, 2.5), "n_max"),
+    (irr_bound_certificate, ("14",), "g"),
+    (case_c, (10, 2.5), "n_max"),
+    (case_a, (14.2,), "d"),
+    (case_b, (10.5,), "d"),
+    (fm_partner_count, (7.5,), "g"),
+    (sandwich_check, (4.5, (1, 10)), "k"),
+    (sandwich_check, (4, (1, 10.5)), "m_range bound"),
+    (divisor_bound_check, ((1.5, 10.7),), "n_range bound"),
+    (divisor_bound_check, ((1, 10), 10.5), "squarefree_limit"),
+    (factorize, (7.5,), "n"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    _NON_INTEGER_CALLS,
+    ids=[f"{fn.__name__}{args}".replace(" ", "") for fn, args, _ in _NON_INTEGER_CALLS],
+)
+def test_non_integer_parameters_are_refused(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args)
+
+
+def test_integral_float_parameters_still_work():
+    assert admissibility_report(10.0).to_jsonable() == admissibility_report(10).to_jsonable()
+    assert irr_bound_certificate(14.0, 10.0).to_jsonable() == irr_bound_certificate(14).to_jsonable()
+    assert fm_partner_count(Fraction(7)) == fm_partner_count(7)

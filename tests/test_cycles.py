@@ -305,3 +305,33 @@ def test_embed_is_isometric_on_the_image():
             for bi in wit.image_basis
         )
         assert pairings == source.gram
+
+
+_NON_INTEGER_CALLS = [
+    (embed_k3_lattice, (2.5,), "d"),
+    (hk_heegner_index, (7.9, 1, 20), "n"),
+    (hk_heegner_index, (7, 1.5, 20), "delta"),
+    (hk_heegner_index, (7, 1, 20.5), "d"),
+    (cubic_heegner_index, (8.9,), "d"),
+    (gm_heegner_index, (10.5,), "d"),
+    (gm_labelling_gram, (10.5,), "d"),
+    (gm_residue_vector, (10.5,), "d"),
+    (hilb_square_route, (5.5, 1), "g"),
+    (hilb_square_route, (5, 1.5), "n"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    _NON_INTEGER_CALLS,
+    ids=[f"{fn.__name__}{args}".replace(" ", "") for fn, args, _ in _NON_INTEGER_CALLS],
+)
+def test_non_integer_parameters_are_refused(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(*args)
+
+
+def test_integral_float_parameters_still_work():
+    assert embed_k3_lattice(14.0) == embed_k3_lattice(14)
+    assert gm_labelling_gram(10.0) == gm_labelling_gram(10)
+    assert hk_heegner_index(7.0, 1, 20.0) == hk_heegner_index(7, 1, 20)

@@ -1,12 +1,16 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
 from heegnerlab.enumeration import enumerate_by_norm, first_primitive_vector
 from heegnerlab.lattices import build_named_lattice, is_primitive
 
-from conftest import box_norm_table, random_positive_definite_lattice
+from conftest import box_norm_table, invert_rational, random_positive_definite_lattice
 
 
 def test_e8_root_count():
@@ -59,6 +63,8 @@ def test_norm_zero():
 def test_negative_norm_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_by_norm(build_named_lattice("A2"), -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        first_primitive_vector(build_named_lattice("E8"), -2)
 
 
 def test_indefinite_rejected():
@@ -66,6 +72,11 @@ def test_indefinite_rejected():
         enumerate_by_norm(build_named_lattice("U"), 2)
     with pytest.raises(ValueError, match="definite"):
         enumerate_by_norm(build_named_lattice("Lambda_C"), 2)
+    # the Gram is checked before the norm
+    with pytest.raises(ValueError, match="definite"):
+        first_primitive_vector(build_named_lattice("U"), -2)
+    with pytest.raises(ValueError, match="definite"):
+        enumerate_by_norm(build_named_lattice("U"), -2)
 
 
 def test_box_oracle_agreement_spot(rng):
@@ -134,3 +145,70 @@ def test_e8_counts_match_divisor_sums():
     e8 = build_named_lattice("E8")
     for n in (1, 2, 3, 4):
         assert len(enumerate_by_norm(e8, 2 * n)) == 240 * sigma_power(3, n)
+
+
+def test_non_rational_norms_rejected():
+    with pytest.raises(ValueError, match="'4'"):
+        first_primitive_vector(build_named_lattice("E8"), "4")
+    for bad in ("2", float("inf"), float("-inf"), float("nan"), None, 2j):
+        with pytest.raises(ValueError, match="norm must be a rational number or a finite float"):
+            enumerate_by_norm(build_named_lattice("A2"), bad)
+
+
+def test_finite_float_norms_are_converted_exactly():
+    a2 = build_named_lattice("A2")
+    assert enumerate_by_norm(a2, 2.0) == enumerate_by_norm(a2, 2)
+    assert first_primitive_vector(build_named_lattice("E8"), 4.0) == first_primitive_vector(
+        build_named_lattice("E8"), 4
+    )
+    gamma1 = discriminant_group(a2).lift((1,))
+    assert len(enumerate_by_norm(a2, Fraction(2, 3), coset=gamma1)) == 3
+    # 2/3 has no exact binary float, so its nearest float is an unrepresented norm
+    assert enumerate_by_norm(a2, 2 / 3, coset=gamma1) == []
+
+
+def test_big_integer_gram():
+    d = 2 * 10**40
+    lat = build_named_lattice("rank1", d)
+    assert [v.num for v in enumerate_by_norm(lat, 9 * d)] == [(-3,), (3,)]
+    assert enumerate_by_norm(lat, 9 * d - 1) == []
+    assert first_primitive_vector(lat, 9 * d) is None
+    assert first_primitive_vector(lat, d) == (-1,)
+
+
+MAX_NORM = 10
+
+
+def _box_volume(lattice, max_norm) -> float:
+    """Points the box oracle allocates; capped so each example stays small."""
+    inv = invert_rational(lattice.gram)
+    return math.prod(2 * math.sqrt(max_norm * inv[i][i]) + 5 for i in range(lattice.rank))
+
+
+@st.composite
+def lattices_with_cosets(draw):
+    rank = draw(st.integers(1, 5))
+    lattice = random_positive_definite_lattice(random.Random(draw(st.integers(0, 2**32))), rank)
+    assume(_box_volume(lattice, MAX_NORM) <= 300_000)
+    group = discriminant_group(lattice)
+    elem = tuple(draw(st.integers(0, s - 1)) for s in group.elementary_divisors)
+    coset = group.lift(elem) if draw(st.booleans()) else None
+    extra = Fraction(draw(st.integers(0, MAX_NORM * 7)), draw(st.integers(1, 7)))
+    return lattice, group, elem, coset, extra
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(lattices_with_cosets())
+def test_integer_traversal_matches_box_oracle(case):
+    lattice, group, elem, coset, extra = case
+    table = box_norm_table(lattice, MAX_NORM, coset=coset)
+    base = 2 * group.q(elem) if coset is not None else Fraction(0)
+    norms = set(table) | {base + 2 * k for k in range(MAX_NORM // 2 + 1)} | {extra}
+    for norm in sorted(n for n in norms if n <= MAX_NORM):
+        got = [v.coords for v in enumerate_by_norm(lattice, norm, coset=coset)]
+        assert got == table.get(norm, []), (lattice.gram, coset, norm)
+    if coset is None:
+        for norm in range(MAX_NORM + 1):
+            vecs = [tuple(map(int, v)) for v in table.get(Fraction(norm), [])]
+            first = next((v for v in vecs if math.gcd(*v) == 1), None)
+            assert first_primitive_vector(lattice, norm) == first, (lattice.gram, norm)

@@ -176,3 +176,14 @@ def test_symmetric_invariants_match_the_fraction_oracles(mat):
     assert (p, q, z) == symmetric_signature(mat)
     assert det == fraction_determinant(mat)
     assert p + q == rational_rank(mat)
+
+
+def test_non_integer_entries_are_refused():
+    with pytest.raises(ValueError, match="entry must be an integer, got 2.5"):
+        elementary_divisors([[2.5, 0], [0, 3]])
+    with pytest.raises(ValueError, match="entry must be an integer, got 1.5"):
+        hermite_row_basis([[1.5, 2]])
+    with pytest.raises(ValueError, match="entry must be an integer, got 1/2"):
+        smith_normal_form([[Fraction(1, 2)]])
+    assert elementary_divisors([[2.0, 0], [0, 3]]) == [6]
+    assert hermite_row_basis([[Fraction(2), 4.0]]) == [[2, 4]]
