@@ -10,8 +10,8 @@ from .lattices import (
     dual_basis,
     gram_determinant,
     is_primitive,
-    lattice_from_jsonable,
     make_lattice,
+    named_lattice,
     orthogonal_complement,
     twist,
 )
@@ -22,7 +22,6 @@ from .weil import (
     WeilRepresentation,
     build_weil_rep,
     relations_pass,
-    t_matrix_order,
     verify_sl2_relations,
     weight_of,
 )
@@ -65,12 +64,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DualVector", "IntegerLattice", "build_named_lattice", "direct_sum", "disc",
-    "dual_basis", "gram_determinant", "is_primitive", "lattice_from_jsonable",
-    "make_lattice", "orthogonal_complement", "twist",
+    "dual_basis", "gram_determinant", "is_primitive", "make_lattice", "named_lattice",
+    "orthogonal_complement", "twist",
     "DiscriminantGroup", "discriminant_group",
     "enumerate_by_norm", "first_primitive_vector",
     "RelationCheck", "WeilRepresentation", "build_weil_rep", "relations_pass",
-    "t_matrix_order", "verify_sl2_relations", "weight_of",
+    "verify_sl2_relations", "weight_of",
     "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex", "HilbertSquareRoute",
     "LabellingWitness", "MomentMatrix", "cubic_heegner_index", "embed_k3_lattice",
     "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector", "hilb_square_route",

@@ -373,9 +373,6 @@ class BoundCertificate:
             "conventions": dict(self.conventions),
         }
 
-    def route_names(self) -> list[str]:
-        return [r.route for r in self.routes]
-
 
 def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
     """Assemble every applicable bound route for genus g.
@@ -430,7 +427,7 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
                     HeegnerIndex(
                         n=hilb.heegner_index,
                         gamma="all",
-                        lattice_tag=f"Lambda_HK_prim({n},1)",
+                        lattice_tag=hilb.lattice_tag,
                     ),
                 ),
                 source="Hilbert-square polarization route",

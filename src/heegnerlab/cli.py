@@ -31,11 +31,13 @@ from .cycles import (
     hk_heegner_index,
 )
 from .discriminant import discriminant_group
-from .lattices import NAMED_LATTICES, build_named_lattice, gram_determinant
+from .lattices import NAMED_LATTICES, IntegerLattice, build_named_lattice, gram_determinant
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
 ENV_CAP = "HEEGNER_LAB_CAP"
 OUTPUT_FLAGS = ("--format", "--out", "--meta")  # the options of every leaf command
+# --d/--n/--delta: every named-lattice parameter, in order of first use
+_PARAM_FLAGS = tuple(dict.fromkeys(p for takes in NAMED_LATTICES.values() for p in takes))
 
 
 class UsageError(ValueError):
@@ -47,24 +49,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
     common.add_argument("--meta", action="store_true", help="wrap the payload in a metadata envelope")
+    named = argparse.ArgumentParser(add_help=False)
+    named.add_argument("--name", required=True)
+    for flag in _PARAM_FLAGS:
+        named.add_argument(f"--{flag}", type=int, default=None)
 
     # --format/--out/--meta belong to each leaf command, so they follow it
     parser = argparse.ArgumentParser(prog="heegnerlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="subcommand", required=True)
-    info = lattice.add_parser("info", parents=[common])
-    info.add_argument("--name", required=True)
-    info.add_argument("--d", type=int, default=None)
-    info.add_argument("--n", type=int, default=None)
-    info.add_argument("--delta", type=int, default=None)
+    lattice.add_parser("info", parents=[common, named])
 
     weil = sub.add_parser("weil").add_subparsers(dest="subcommand", required=True)
-    check = weil.add_parser("check", parents=[common])
-    check.add_argument("--name", required=True)
-    check.add_argument("--d", type=int, default=None)
-    check.add_argument("--n", type=int, default=None)
-    check.add_argument("--delta", type=int, default=None)
+    check = weil.add_parser("check", parents=[common, named])
     check.add_argument("--tol", type=float, default=1e-9)
 
     heegner = sub.add_parser("heegner").add_subparsers(dest="subcommand", required=True)
@@ -103,17 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The --d/--n/--delta flags each parametrized lattice takes, in order.
-_LATTICE_PARAMS = {"rank1": ("d",), "Lambda_d": ("d",), "Lambda_HK_prim": ("n", "delta")}
-
-
-def _named_lattice_from_args(args) -> "IntegerLattice":
+def _named_lattice_from_args(args) -> IntegerLattice:
     name = args.name
-    takes = _LATTICE_PARAMS.get(name, ())
+    takes = NAMED_LATTICES.get(name, ())
     if any(getattr(args, flag) is None for flag in takes):
         raise UsageError(f"{name} requires {' and '.join('--' + flag for flag in takes)}")
     if name in NAMED_LATTICES:
-        for flag in ("d", "n", "delta"):
+        for flag in _PARAM_FLAGS:
             if flag not in takes and getattr(args, flag) is not None:
                 raise UsageError(f"{name} takes no --{flag}")
     return build_named_lattice(name, *(getattr(args, flag) for flag in takes))

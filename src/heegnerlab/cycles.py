@@ -12,11 +12,12 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
 from typing import Sequence
 
 from .enumeration import first_primitive_vector
 from .intlinalg import checked_int, elementary_divisors, identity, symmetric_invariants
-from .lattices import CACHE_SIZE, DualVector, build_named_lattice, orthogonal_complement
+from .lattices import CACHE_SIZE, DualVector, build_named_lattice, named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
 Gram = tuple[tuple[int, ...], ...]
@@ -24,13 +25,7 @@ Gram = tuple[tuple[int, ...], ...]
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _tag_level(tag: str) -> int:
-    if tag.startswith("Lambda_HK_prim"):
-        inside = tag[tag.index("(") + 1 : tag.index(")")]
-        n, delta = (int(x) for x in inside.split(","))
-        lattice = build_named_lattice("Lambda_HK_prim", n, delta)
-    else:
-        lattice = build_named_lattice(tag)
-    return discriminant_group(lattice).level
+    return discriminant_group(named_lattice(tag)).level
 
 
 @dataclass(frozen=True)
@@ -42,6 +37,8 @@ class HeegnerIndex:
     lattice_tag: str
 
     def __post_init__(self):
+        if not isinstance(self.n, Rational):
+            raise ValueError(f"index n must be a rational number, got {self.n!r}")
         level = _tag_level(self.lattice_tag)
         if (self.n * level).denominator != 1:
             raise ValueError(
@@ -86,11 +83,6 @@ class MomentMatrix:
     @property
     def is_positive_semidefinite(self) -> bool:
         return self._invariants[1] == 0
-
-    def principal_submatrix(self, indices: Sequence[int]) -> "MomentMatrix":
-        if any(not 0 <= i < self.size for i in indices):
-            raise ValueError(f"indices {list(indices)} are not all in range({self.size})")
-        return MomentMatrix(entries=tuple(tuple(self.entries[i][j] for j in indices) for i in indices))
 
     def to_jsonable(self) -> dict:
         return {
@@ -158,6 +150,7 @@ class HilbertSquareRoute:
     m: int
     target: tuple[int, int]
     heegner_index: Fraction
+    lattice_tag: str
 
     def to_jsonable(self) -> dict:
         return {
@@ -321,7 +314,7 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
         d=d,
         disc=big_n,
         norm_vv=Fraction(d, big_n),
-        lattice_tag=f"Lambda_HK_prim({n},{delta})",
+        lattice_tag=build_named_lattice("Lambda_HK_prim", n, delta).name,
     )
 
 
@@ -340,7 +333,9 @@ def hilb_square_route(g: int, n: int) -> HilbertSquareRoute:
     if m * m != diff:
         raise ValueError(f"d/2 - n = {diff} is not a perfect square for g={g}, n={n}")
     family = hk_heegner_index(n, 1, d)
-    return HilbertSquareRoute(g=g, n=n, m=m, target=(2 * n, 1), heegner_index=family.index)
+    return HilbertSquareRoute(
+        g=g, n=n, m=m, target=(2 * n, 1), heegner_index=family.index, lattice_tag=family.lattice_tag
+    )
 
 
 def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
+from operator import index
 from typing import Iterator, Sequence
 
-from .intlinalg import identity, mat_vec, smith_normal_form
+from .intlinalg import checked_int, identity, mat_vec, smith_normal_form
 from .lattices import DualVector, IntegerLattice, gram_determinant
 
 Element = tuple[int, ...]
@@ -72,7 +73,10 @@ class DiscriminantGroup:
             raise ValueError(
                 f"element {tuple(elem)} has wrong length for divisors {self.elementary_divisors}"
             )
-        return tuple(int(r) % s for r, s in zip(elem, self.elementary_divisors))
+        try:
+            return tuple(index(r) % s for r, s in zip(elem, self.elementary_divisors))
+        except TypeError:  # integral values of other types, such as 1.0
+            return tuple(checked_int(r, "residue") % s for r, s in zip(elem, self.elementary_divisors))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
         return tuple((x + y) % s for x, y, s in zip(self.reduce(a), self.reduce(b), self.elementary_divisors))
@@ -155,7 +159,7 @@ def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> 
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
     order = abs(det)
-    hard = HARD_CAP if hard_cap is None else int(hard_cap)
+    hard = HARD_CAP if hard_cap is None else checked_int(hard_cap, "hard_cap")
     if order > hard:
         raise ValueError(f"discriminant group order {order} exceeds the hard cap {hard}")
     snf, u, v = smith_normal_form(lattice.gram)

@@ -190,7 +190,15 @@ _FIXED_BLOCKS = {
     "Lambda_sharp": (E8_GRAM, E8_GRAM, E8_GRAM, U_GRAM, U_GRAM),
 }
 
-NAMED_LATTICES = (*_FIXED_BLOCKS, "rank1", "Lambda_HK_prim", "Lambda_d")
+# Every named lattice with its parameters, in order.  A built lattice is
+# named by one tag rule: `name`, or `name(p1,p2,...)` with the parameters in
+# decimal; `named_lattice` is the inverse.
+NAMED_LATTICES = {
+    **dict.fromkeys(_FIXED_BLOCKS, ()),
+    "rank1": ("d",),
+    "Lambda_HK_prim": ("n", "delta"),
+    "Lambda_d": ("d",),
+}
 
 
 # Bound on each lattice cache; a sweep touches a dozen named lattices.
@@ -207,16 +215,19 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     out block-diagonally in the conventional order.  Block signatures add,
     so composite builds skip the full symmetric elimination.
     """
+    if name not in NAMED_LATTICES:
+        raise ValueError(f"unknown lattice name {name!r}; expected one of {', '.join(NAMED_LATTICES)}")
+    takes = NAMED_LATTICES[name]
+    if not takes and params:
+        raise ValueError(f"{name} takes no parameters")
+    if len(params) != len(takes):
+        raise ValueError(f"{name} requires {len(takes)} integer parameter(s), got {len(params)}")
+    params = tuple(map(checked_int, params, takes))
+    tag = f"{name}({','.join(map(str, params))})" if params else name
     if name in _FIXED_BLOCKS:
-        if params:
-            raise ValueError(f"{name} takes no parameters")
-        return _assemble(name, _FIXED_BLOCKS[name])
-    if name == "rank1":
-        (d,) = _take_params(name, params, 1)
-        _require_even_positive(d)
-        return make_lattice(((d,),), name=f"rank1({d})")
+        return _assemble(tag, _FIXED_BLOCKS[name])
     if name == "Lambda_HK_prim":
-        n, delta = _take_params(name, params, 2)
+        n, delta = params
         if n <= 0:
             raise ValueError("Lambda_HK_prim requires n > 0")
         if delta == 1:
@@ -227,31 +238,35 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
             tail = ((2, 1), (1, (n + 1) // 2))
         else:
             raise ValueError("delta must be 1 or 2")
-        return _assemble(
-            f"Lambda_HK_prim({n},{delta})", [U_GRAM, U_GRAM, E8_GRAM, E8_GRAM, tail]
-        )
-    if name == "Lambda_d":
-        (d,) = _take_params(name, params, 1)
-        _require_even_positive(d)
-        return _assemble(f"Lambda_d({d})", [E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, ((d,),)])
-    raise ValueError(f"unknown lattice name {name!r}; expected one of {', '.join(NAMED_LATTICES)}")
-
-
-def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
-    return replace(direct_sum(*(make_lattice(b) for b in blocks)), name=name)
-
-
-def _take_params(name: str, params, count: int):
-    if len(params) != count:
-        raise ValueError(f"{name} requires {count} integer parameter(s), got {len(params)}")
-    return tuple(map(checked_int, params))
-
-
-def _require_even_positive(d: int) -> None:
+        return _assemble(tag, [U_GRAM, U_GRAM, E8_GRAM, E8_GRAM, tail])
+    (d,) = params
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     if d % 2 != 0:
         raise ValueError(f"d must be even for an even lattice, got {d}")
+    if name == "rank1":
+        return make_lattice(((d,),), name=tag)
+    return _assemble(tag, [E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, ((d,),)])
+
+
+def named_lattice(tag: str) -> IntegerLattice:
+    """The named lattice whose `.name` is `tag`; inverse of build_named_lattice.
+
+    Raises ValueError for any string that is not exactly a built lattice's
+    tag, such as ``Lambda_d( 14)``, ``Lambda_d(014)`` or ``E8()``.
+    """
+    name, paren, inside = tag.partition("(")
+    params = inside.removesuffix(")").split(",") if paren else ()
+    if not all(p.isdecimal() for p in params):
+        raise ValueError(f"malformed lattice tag {tag!r}")
+    lattice = build_named_lattice(name, *map(int, params))
+    if lattice.name != tag:
+        raise ValueError(f"malformed lattice tag {tag!r}; the lattice is tagged {lattice.name!r}")
+    return lattice
+
+
+def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
+    return replace(direct_sum(*(make_lattice(b) for b in blocks)), name=name)
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
@@ -332,12 +347,3 @@ def orthogonal_complement(
         raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
     result = IntegerLattice(gram=tuple(map(tuple, induced)), signature=(p, q))
     return result, [tuple(b) for b in basis]
-
-
-def lattice_from_jsonable(doc: dict) -> IntegerLattice:
-    lattice = make_lattice(doc["gram"], name=doc.get("name"))
-    if "signature" in doc and tuple(doc["signature"]) != lattice.signature:
-        raise ValueError(
-            f"stored signature {tuple(doc['signature'])} does not match computed {lattice.signature}"
-        )
-    return lattice

@@ -52,21 +52,6 @@ class WeilRepresentation:
     t_matrix: np.ndarray
     level: int
     weight: int
-    elements: tuple[tuple[int, ...], ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dim": self.dim,
-            "m": self.m,
-            "level": self.level,
-            "weight": self.weight,
-            "s_matrix": _matrix_jsonable(self.s_matrix),
-            "t_matrix": _matrix_jsonable(self.t_matrix),
-        }
-
-
-def _matrix_jsonable(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
 def weight_of(m: int) -> int:
@@ -107,13 +92,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
         t_matrix=t,
         level=group.level,
         weight=weight_of(m),
-        elements=elements,
     )
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[RelationCheck]:
@@ -124,7 +103,8 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     """
     import numpy as np
 
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     s = rep.s_matrix
     t = rep.t_matrix
     eye = np.eye(rep.dim)
@@ -140,20 +120,6 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     record(f"T^{rep.level} = Id", np.linalg.matrix_power(t, rep.level) - eye)
     record("S unitary", s @ s.conj().T - eye)
     return checks
-
-
-def t_matrix_order(rep: WeilRepresentation, tol: float = 1e-9) -> int:
-    """Smallest k <= rep.level with T^k = Id to tolerance (the matrix order of T)."""
-    import numpy as np
-
-    _check_tol(tol)
-    diag = np.diagonal(rep.t_matrix).copy()
-    power = np.ones_like(diag)
-    for k in range(1, rep.level + 1):
-        power = power * diag
-        if float(np.abs(power - 1.0).max()) <= tol:
-            return k
-    raise ValueError(f"T has no order up to {rep.level} at tolerance {tol}")
 
 
 def relations_pass(checks: Sequence[RelationCheck]) -> bool:

@@ -60,6 +60,20 @@ def fraction_determinant(mat) -> Fraction:
     return Fraction(bareiss_determinant(scaled), scale ** len(rows))
 
 
+def t_matrix_order(rep, tol: float = 1e-9) -> int:
+    """Smallest k <= rep.level with T^k = Id to tolerance: the matrix order of
+    T, computed from the matrix alone, as an oracle for the group's level."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    diag = np.diagonal(rep.t_matrix).copy()
+    power = np.ones_like(diag)
+    for k in range(1, rep.level + 1):
+        power = power * diag
+        if float(np.abs(power - 1.0).max()) <= tol:
+            return k
+    raise ValueError(f"T has no order up to {rep.level} at tolerance {tol}")
+
+
 def rational_rank(mat) -> int:
     """Rank of a matrix with rational entries."""
     rows = [[Fraction(x) for x in row] for row in mat]

@@ -190,7 +190,7 @@ def test_criterion_09_certificate_spot_checks():
         assert uniform8.multiplier == 2
 
         cert14 = irr_bound_certificate(14, 10)
-        names = cert14.route_names()
+        names = [r.route for r in cert14.routes]
         assert "A" in names and "B" in names
         route_b = next(r for r in cert14.routes if r.route == "B")
         assert [(i.n, i.gamma) for i in route_b.indices] == [

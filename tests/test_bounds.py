@@ -267,7 +267,7 @@ def test_admissibility_report():
 def test_certificate_g8():
     cert = irr_bound_certificate(8, 10)
     assert cert.d == 14
-    names = cert.route_names()
+    names = [r.route for r in cert.routes]
     assert names == ["A", "C(7)", "C(6)", "C(3)", "uniform"]
     route_a = cert.routes[0]
     assert route_a.exponent == 10 and route_a.multiplier == 1
@@ -281,7 +281,7 @@ def test_certificate_g8():
 
 def test_certificate_g14():
     cert = irr_bound_certificate(14, 10)
-    names = cert.route_names()
+    names = [r.route for r in cert.routes]
     assert "A" in names and "B" in names
     route_b = next(r for r in cert.routes if r.route == "B")
     assert [(i.n, i.gamma) for i in route_b.indices] == [
@@ -294,7 +294,7 @@ def test_certificate_g14():
 
 def test_certificate_g2_only_uniform():
     cert = irr_bound_certificate(2, 10)
-    assert cert.route_names() == ["uniform"]
+    assert [r.route for r in cert.routes] == ["uniform"]
     assert cert.routes[0].multiplier == 1
     with pytest.raises(ValueError, match="at least 2"):
         irr_bound_certificate(1, 10)

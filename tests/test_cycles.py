@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.cycles import (
+    HeegnerIndex,
     MomentMatrix,
     cubic_heegner_index,
     embed_k3_lattice,
@@ -140,10 +141,6 @@ def test_moment_matrix_basics():
     assert single.entries == ((Fraction(1),),)
     empty = moment_matrix([])
     assert empty.size == 0 and empty.rank == 0 and empty.det == 1
-    sub = full.principal_submatrix([0, 2, 5])
-    assert sub.entries == tuple(
-        tuple(full.entries[i][j] for j in (0, 2, 5)) for i in (0, 2, 5)
-    )
 
 
 def test_moment_matrix_mixed_lattices_rejected():
@@ -163,10 +160,6 @@ def test_moment_matrix_must_be_square_and_symmetric():
     half = Fraction(1, 2)
     mm = MomentMatrix(entries=((1, half), (half, 1)))
     assert (mm.rank, mm.det, mm.is_positive_semidefinite) == (2, Fraction(3, 4), True)
-    assert mm.principal_submatrix([1]).entries == ((1,),)
-    for bad in ([-1], [2], [0, 2]):
-        with pytest.raises(ValueError, match=r"range\(2\)"):
-            mm.principal_submatrix(bad)
 
 
 def test_moment_of_norm_2n_vector():
@@ -283,8 +276,9 @@ def test_moment_subtuple_is_principal_submatrix():
     full = moment_matrix(vectors)
     picks = [0, 2, 5]
     sub = moment_matrix([vectors[i] for i in picks])
-    assert sub.entries == full.principal_submatrix(picks).entries
-    assert sub.rank == full.principal_submatrix(picks).rank
+    principal = MomentMatrix(entries=tuple(tuple(full.entries[i][j] for j in picks) for i in picks))
+    assert sub.entries == principal.entries
+    assert sub.rank == principal.rank
 
 
 def test_gm_residue_class_consistency():
@@ -335,3 +329,17 @@ def test_integral_float_parameters_still_work():
     assert embed_k3_lattice(14.0) == embed_k3_lattice(14)
     assert gm_labelling_gram(10.0) == gm_labelling_gram(10)
     assert hk_heegner_index(7.0, 1, 20.0) == hk_heegner_index(7, 1, 20)
+
+
+def test_heegner_index_names_every_period_lattice():
+    for tag, level in (("Lambda_d(14)", 28), ("rank1(6)", 12), ("Lambda_HK_prim(7,1)", 28), ("Lambda_C", 3)):
+        idx = HeegnerIndex(n=Fraction(1, level), gamma="0", lattice_tag=tag)
+        assert idx.to_jsonable() == {"n": f"1/{level}", "gamma": "0", "lattice": tag}
+        with pytest.raises(ValueError, match=f"1/{level}"):
+            HeegnerIndex(n=Fraction(1, 2 * level), gamma="0", lattice_tag=tag)
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, "1/3", None, complex(1, 0)])
+def test_heegner_index_requires_a_rational_n(n):
+    with pytest.raises(ValueError, match="rational"):
+        HeegnerIndex(n=n, gamma="0", lattice_tag="Lambda_C")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heegnerlab import discriminant
@@ -218,3 +219,34 @@ def test_gauss_sum_signature_identity(rng):
         p, q = lat.signature
         expected = math.sqrt(group.order) * cmath.exp(2j * cmath.pi * (p - q) / 8)
         assert abs(total - expected) < 1e-9 * math.sqrt(group.order), lat.gram
+
+
+def test_non_integer_residues_are_refused():
+    group = discriminant_group(build_named_lattice("A2"))
+    for method in (group.q, group.lift, group.reduce, group.element_key):
+        for bad in ((1.5,), (1.7,), (Fraction(1, 2),), ("1",)):
+            with pytest.raises(ValueError, match="residue must be an integer"):
+                method(bad)
+    with pytest.raises(ValueError, match="residue must be an integer"):
+        group.b((1,), (0.5,))
+    with pytest.raises(ValueError, match="residue must be an integer"):
+        group.add((1,), (2.5,))
+
+
+def test_integral_residues_of_other_types_still_work():
+    group = discriminant_group(build_named_lattice("A2"))
+    for good in ((1.0,), (Fraction(4),), (np.int64(1),), (True,), (-2,)):
+        assert group.reduce(good) == (1,)
+        assert group.q(good) == group.q((1,)) == Fraction(1, 3)
+        assert group.lift(good) == group.lift((1,))
+
+
+def test_hard_cap_is_checked_not_truncated():
+    a2 = build_named_lattice("A2")
+    with pytest.raises(ValueError, match="hard_cap must be an integer, got 3.9"):
+        discriminant_group(a2, hard_cap=3.9)
+    with pytest.raises(ValueError, match="hard_cap must be an integer, got 2.5"):
+        discriminant_group(a2, hard_cap=2.5)
+    assert discriminant_group(a2, hard_cap=3.0).order == 3
+    with pytest.raises(ValueError, match="hard cap 2"):
+        discriminant_group(a2, hard_cap=2.0)

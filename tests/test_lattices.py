@@ -1,12 +1,12 @@
-import json
 from fractions import Fraction
 
 import pytest
 
-from heegnerlab.cycles import _tag_level
+from heegnerlab.cycles import HeegnerIndex, _tag_level
 from heegnerlab.enumeration import enumerate_by_norm, first_primitive_vector
 from heegnerlab.lattices import (
     CACHE_SIZE,
+    NAMED_LATTICES,
     DualVector,
     build_named_lattice,
     direct_sum,
@@ -14,8 +14,8 @@ from heegnerlab.lattices import (
     dual_basis,
     gram_determinant,
     is_primitive,
-    lattice_from_jsonable,
     make_lattice,
+    named_lattice,
     orthogonal_complement,
     twist,
 )
@@ -209,24 +209,14 @@ def test_is_primitive():
         is_primitive(e8, (0,) * 8)
 
 
-def test_lattice_json_round_trip():
-    lam = build_named_lattice("Lambda_C")
-    doc = json.loads(json.dumps(lam.to_jsonable()))
-    back = lattice_from_jsonable(doc)
-    assert back.gram == lam.gram
-    assert back.signature == lam.signature
-    assert back.name == "Lambda_C"
-    doc["signature"] = [2, 20]
-    with pytest.raises(ValueError, match="signature"):
-        lattice_from_jsonable(doc)
-
-
 def test_lattice_caches_stay_bounded():
     extra = CACHE_SIZE + 8
     for d in range(2, 2 * extra + 1, 2):
         gram_determinant(build_named_lattice("rank1", d))
     for n in range(1, extra + 1):
         _tag_level(f"Lambda_HK_prim({n},1)")
+    for d in range(2, 2 * extra + 1, 2):
+        assert _tag_level(f"Lambda_d({d})") == 2 * d
     for cached in (build_named_lattice, gram_determinant, _tag_level):
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
@@ -238,8 +228,6 @@ def test_integer_entries_are_checked_not_truncated():
     half = (Fraction(1, 2),) + (0,) * 7
     with pytest.raises(ValueError, match="1.5"):
         make_lattice([[2, 1.5], [1.5, 2]])
-    with pytest.raises(ValueError, match="1.5"):
-        lattice_from_jsonable({"gram": [[2, 1.5], [1.5, 2]]})
     with pytest.raises(ValueError, match="1/2"):
         is_primitive(e8, (Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="2.7"):
@@ -272,3 +260,55 @@ def test_dual_basis_is_the_inverse_gram(rng):
         assert dual_basis(lattice) == inverse
     empty = make_lattice([])
     assert dual_basis(empty) == []
+
+
+# Valid parameters for every table entry; a new entry needs samples here.
+TABLE_SAMPLES = {
+    **{name: [()] for name, takes in NAMED_LATTICES.items() if not takes},
+    "rank1": [(2,), (6,), (80,), (2000002,)],
+    "Lambda_HK_prim": [(1, 1), (7, 1), (3, 2), (11, 2)],
+    "Lambda_d": [(2,), (14,), (1000,)],
+}
+
+
+def test_named_lattice_round_trips_the_table():
+    assert TABLE_SAMPLES.keys() == NAMED_LATTICES.keys()
+    for name, samples in TABLE_SAMPLES.items():
+        for params in samples:
+            lattice = build_named_lattice(name, *params)
+            expected = f"{name}({','.join(map(str, params))})" if params else name
+            assert lattice.name == expected
+            assert named_lattice(lattice.name) is lattice
+            assert HeegnerIndex(n=Fraction(0), gamma="0", lattice_tag=lattice.name).lattice_tag == expected
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [
+        "Lambda_HK_prim( 7 ,1)",
+        "Lambda_HK_prim(7,1)junk",
+        "Lambda_HK_prim(07,1)",
+        "Lambda_HK_prim(7.0,1)",
+        "Lambda_HK_prim(7,1))",
+        "Lambda_HK_prim(7)",
+        "Lambda_HK_prim(5,2)",
+        "Lambda_d(+14)",
+        "Lambda_d(-14)",
+        "Lambda_d(1_4)",
+        "Lambda_d(7)",
+        "Lambda_d",
+        "rank1(5)",
+        "E8()",
+        "U(3)",
+        "Lambda_C(",
+        "E8 ",
+        "Lambda_c",
+        "K3",
+        "",
+    ],
+)
+def test_named_lattice_rejects_non_tags(tag):
+    with pytest.raises(ValueError):
+        named_lattice(tag)
+    with pytest.raises(ValueError):
+        HeegnerIndex(n=Fraction(0), gamma="0", lattice_tag=tag)

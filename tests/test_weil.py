@@ -9,12 +9,11 @@ from heegnerlab.lattices import build_named_lattice
 from heegnerlab.weil import (
     build_weil_rep,
     relations_pass,
-    t_matrix_order,
     verify_sl2_relations,
     weight_of,
 )
 
-from conftest import random_even_gram
+from conftest import random_even_gram, t_matrix_order
 
 
 def m_for_signature(p: int, q: int) -> int:
@@ -139,18 +138,3 @@ def test_relation_report_shape():
         assert set(doc) == {"relation", "max_deviation", "pass"}
     with pytest.raises(ValueError, match="positive"):
         verify_sl2_relations(rep, tol=0.0)
-
-
-def test_matrix_json_dump_shape():
-    group = discriminant_group(build_named_lattice("Lambda_C"))
-    rep = build_weil_rep(group, 20)
-    doc = rep.to_jsonable()
-    assert doc["weight"] == 11 and doc["level"] == 3
-    assert len(doc["s_matrix"]) == 3 and len(doc["s_matrix"][0]) == 3
-    re_im = doc["s_matrix"][0][0]
-    assert isinstance(re_im, list) and len(re_im) == 2
-    assert abs(re_im[1] + 1 / math.sqrt(3)) < 1e-12
-    assert doc["t_matrix"][1][1] == [
-        pytest.approx(math.cos(2 * math.pi / 3)),
-        pytest.approx(math.sin(2 * math.pi / 3)),
-    ]
