@@ -5,15 +5,16 @@ Cubic fourfolds: the coset rule sends discriminant d to (d/6, gamma_0) or
 (d/6, gamma_1) by residue mod 6.  Gushel-Mukai fourfolds: the labelling
 Gram matrices carry residue vectors with <v, h_i> = 0 and half-norm d/8.
 Hyperkaehler fourfolds: the index is d/(2N) with N the discriminant of the
-primitive cohomology, and the Hilbert-square route applies when d/2 - n is
-a perfect square.
+primitive cohomology.  The Hilbert-square route C(n) of genus g is a square
+witness d/2 - n = m^2 of admissibility case C, indexed by the split
+hyperkaehler family of degree 2n.
 """
 
 from heegnerlab import (
+    case_c,
     cubic_heegner_index,
     gm_heegner_index,
     gm_residue_vector,
-    hilb_square_route,
     hk_heegner_index,
 )
 
@@ -40,7 +41,9 @@ for n, delta, d in ((1, 1, 8), (2, 1, 12), (3, 2, 6), (7, 2, 28)):
     print(f"  (2n={2*n}, delta={delta}), d={d}: index {fam.index}, disc {fam.disc}, <v,v> = {fam.norm_vv}")
 
 print()
-print("Hilbert-square routes (d/2 - n a perfect square):")
-for g, n in ((10, 5), (7, 2), (5, 4), (8, 3)):
-    route = hilb_square_route(g, n)
-    print(f"  g={g}, n={n}: m={route.m}, target degree {route.target[0]}, index {route.heegner_index}")
+print("Hilbert-square routes (case C witnesses d/2 - n = m^2, n <= 5):")
+for g in (5, 7, 8, 10):
+    d = 2 * g - 2
+    for n, m in case_c(d, n_max=5):
+        fam = hk_heegner_index(n, 1, d)
+        print(f"  g={g}, n={n}: m={m}, target degree {2 * fam.n}, index {fam.index}")

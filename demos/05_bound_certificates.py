@@ -10,7 +10,6 @@ through the rank-7 moment cycle, multiplied by 2^omega(g-1).
 import json
 
 from heegnerlab import (
-    admissibility_report,
     divisor_bound_check,
     growth_exponent_estimate,
     irr_bound_certificate,
@@ -20,14 +19,7 @@ from heegnerlab import (
 
 print("Genera with an exponent-10 route among g = 2..30:")
 for g in range(2, 31):
-    rep = admissibility_report(2 * g - 2, n_max=10)
-    tags = []
-    if rep.case_a.ok and 2 * g - 2 > 6:
-        tags.append("A")
-    if rep.case_b.ok and 2 * g - 2 > 6:
-        tags.append("B")
-    if rep.case_c_witnesses and 2 * g - 2 > 6:
-        tags.append("C" + str([n for n, _ in rep.case_c_witnesses]))
+    tags = [r.route for r in irr_bound_certificate(g, n_max=10).routes if r.exponent == 10]
     if tags:
         print(f"  g={g:<3} d={2*g-2:<3} routes {' '.join(tags)}")
 

@@ -29,7 +29,6 @@ from .cycles import (
     EmbeddingWitness,
     HKIndexFamily,
     HeegnerIndex,
-    HilbertSquareRoute,
     LabellingWitness,
     MomentMatrix,
     cubic_heegner_index,
@@ -37,7 +36,6 @@ from .cycles import (
     gm_heegner_index,
     gm_labelling_gram,
     gm_residue_vector,
-    hilb_square_route,
     hk_heegner_index,
     moment_matrix,
 )
@@ -70,9 +68,9 @@ __all__ = [
     "enumerate_by_norm", "first_primitive_vector",
     "RelationCheck", "WeilRepresentation", "build_weil_rep", "relations_pass",
     "verify_sl2_relations", "weight_of",
-    "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex", "HilbertSquareRoute",
+    "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex",
     "LabellingWitness", "MomentMatrix", "cubic_heegner_index", "embed_k3_lattice",
-    "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector", "hilb_square_route",
+    "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector",
     "hk_heegner_index", "moment_matrix",
     "factorize", "is_squarefree", "num_divisors", "omega", "sigma_power",
     "AdmissibilityReport", "BoundCertificate", "CaseResult", "admissibility_report",

@@ -22,10 +22,10 @@ from .cycles import (
     cubic_heegner_index,
     embed_k3_lattice,
     gm_heegner_index,
-    hilb_square_route,
+    hk_heegner_index,
 )
 
-THEOREM_RANGE_MIN_D = 8  # admissible routes need d = 2g - 2 > 6
+THEOREM_RANGE_MIN_D = 8  # the exponent-10 routes need d = 2g - 2 >= 8
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def case_a(d: int) -> CaseResult:
     """Cubic-fourfold admissibility: residue 0 or 2 mod 6; no factor 4, 9,
     or odd prime p = 2 (mod 3).  The first violated clause is named."""
     d = _check_even(d)
-    in_range = d > 6
+    in_range = d >= THEOREM_RANGE_MIN_D
     r = d % 6
     if r not in (0, 2):
         return CaseResult(False, f"d = {r} (mod 6) is not 0 or 2", in_range)
@@ -69,7 +69,7 @@ def case_a(d: int) -> CaseResult:
 def case_b(d: int) -> CaseResult:
     """Gushel-Mukai admissibility: residue 2 or 4 mod 8; no prime p = 3 (mod 4)."""
     d = _check_even(d)
-    in_range = d > 6
+    in_range = d >= THEOREM_RANGE_MIN_D
     r = d % 8
     if r not in (2, 4):
         return CaseResult(False, f"d = {r} (mod 8) is not 2 or 4", in_range)
@@ -377,63 +377,58 @@ class BoundCertificate:
 def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
     """Assemble every applicable bound route for genus g.
 
-    Routes A, B, and C(n) carry exponent 10 and all require d = 2g - 2 > 6
-    on top of their residue, divisibility, or square tests; each C(n)
-    constant depends on its witness n.  The uniform route always applies,
-    with exponent 14 and multiplier 2^omega(g-1), witnessed by the rank-7
-    moment matrix with determinant d / 2^7.
+    Routes A, B, and C(n) carry exponent 10 and are read off the
+    admissibility report of d = 2g - 2, in the theorem range d >= 8 only;
+    each C(n) is a square witness (n, m) of case C indexed by the
+    split-polarization hyperkaehler family of degree 2n, so its constant
+    depends on n.  The uniform route always applies, with exponent 14 and
+    multiplier 2^omega(g-1), witnessed by the rank-7 moment matrix with
+    determinant d / 2^7.
     """
     g = checked_int(g, "g")
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
-    n_max = checked_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
     d = 2 * g - 2
+    report = admissibility_report(d, n_max)
     routes: list[Route] = []
-    result_a = case_a(d)
-    if result_a.ok and result_a.in_theorem_range:
-        routes.append(
-            Route(
-                route="A",
-                exponent=10,
-                multiplier=cubic_map_degree(d),
-                constant="C",
-                indices=(cubic_heegner_index(d),),
-                source="cubic fourfold labelling route",
+    if d >= THEOREM_RANGE_MIN_D:
+        if report.case_a:
+            routes.append(
+                Route(
+                    route="A",
+                    exponent=10,
+                    multiplier=cubic_map_degree(d),
+                    constant="C",
+                    indices=(cubic_heegner_index(d),),
+                    source="cubic fourfold labelling route",
+                )
             )
-        )
-    result_b = case_b(d)
-    if result_b.ok and result_b.in_theorem_range:
-        routes.append(
-            Route(
-                route="B",
-                exponent=10,
-                multiplier=1,
-                constant="C",
-                indices=gm_heegner_index(d),
-                source="Gushel-Mukai fourfold labelling route",
+        if report.case_b:
+            routes.append(
+                Route(
+                    route="B",
+                    exponent=10,
+                    multiplier=1,
+                    constant="C",
+                    indices=gm_heegner_index(d),
+                    source="Gushel-Mukai fourfold labelling route",
+                )
             )
-        )
-    for n, m in case_c(d, n_max) if d > 6 else []:
-        hilb = hilb_square_route(g, n)
-        routes.append(
-            Route(
-                route=f"C({n})",
-                exponent=10,
-                multiplier=1,
-                constant=f"C_{n}",
-                indices=(
-                    HeegnerIndex(
-                        n=hilb.heegner_index,
-                        gamma="all",
-                        lattice_tag=hilb.lattice_tag,
+        for n, m in report.case_c_witnesses:
+            family = hk_heegner_index(n, 1, d)
+            routes.append(
+                Route(
+                    route=f"C({n})",
+                    exponent=10,
+                    multiplier=1,
+                    constant=f"C_{n}",
+                    indices=(
+                        HeegnerIndex(n=family.index, gamma=family.gamma, lattice_tag=family.lattice_tag),
                     ),
-                ),
-                source="Hilbert-square polarization route",
-                extras={"m": m, "target": {"degree": 2 * n, "delta": 1}},
+                    source="Hilbert-square polarization route",
+                    extras={"m": m, "target": {"degree": 2 * family.n, "delta": family.delta}},
+                )
             )
-        )
     witness = embed_k3_lattice(d)
     routes.append(
         Route(

@@ -1,9 +1,10 @@
 """Indexing of Heegner divisors and Kudla special cycles.
 
-Covers the five lattice families: the cubic-fourfold coset rule, the
-Gushel-Mukai labelling Gram matrices with their residue vectors, the
-hyperkaehler index formula, the Hilbert-square route, and the rank-7
-moment-matrix embedding into the unimodular (26, 2) lattice.
+Covers the cubic-fourfold coset rule, the Gushel-Mukai labelling Gram
+matrices with their residue vectors, the hyperkaehler index formula, and the
+rank-7 moment-matrix embedding into the unimodular (26, 2) lattice.  The
+Hilbert-square route C(n) of a certificate is a square witness of
+`bounds.case_c` read through `hk_heegner_index(n, 1, d)`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 from numbers import Rational
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .enumeration import first_primitive_vector
-from .intlinalg import checked_int, elementary_divisors, identity, symmetric_invariants
+from .intlinalg import checked_int, symmetric_invariants
 from .lattices import CACHE_SIZE, DualVector, build_named_lattice, named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
@@ -37,8 +38,12 @@ class HeegnerIndex:
     lattice_tag: str
 
     def __post_init__(self):
-        if not isinstance(self.n, Rational):
+        if isinstance(self.n, bool) or not isinstance(self.n, Rational):
             raise ValueError(f"index n must be a rational number, got {self.n!r}")
+        if not isinstance(self.gamma, str):
+            raise ValueError(f"gamma must be a string label, got {self.gamma!r}")
+        if not isinstance(self.lattice_tag, str):
+            raise ValueError(f"lattice_tag must be a string, got {self.lattice_tag!r}")
         level = _tag_level(self.lattice_tag)
         if (self.n * level).denominator != 1:
             raise ValueError(
@@ -126,7 +131,7 @@ class HKIndexFamily:
     disc: int
     norm_vv: Fraction
     lattice_tag: str
-    gamma: str = "all"
+    gamma: ClassVar[str] = "all"
 
     def to_jsonable(self) -> dict:
         return {
@@ -138,27 +143,6 @@ class HKIndexFamily:
             "d": self.d,
             "disc": self.disc,
             "norm_vv": str(self.norm_vv),
-        }
-
-
-@dataclass(frozen=True)
-class HilbertSquareRoute:
-    """Route through the Hilbert square of a K3, when d/2 - n is a square."""
-
-    g: int
-    n: int
-    m: int
-    target: tuple[int, int]
-    heegner_index: Fraction
-    lattice_tag: str
-
-    def to_jsonable(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "m": self.m,
-            "target": {"degree": self.target[0], "delta": self.target[1]},
-            "heegner_index": str(self.heegner_index),
         }
 
 
@@ -207,16 +191,33 @@ def cubic_heegner_index(d: int) -> HeegnerIndex:
     return HeegnerIndex(n=Fraction(d, 6), gamma=gamma, lattice_tag="Lambda_C")
 
 
-def _gm_check_residue(d: int) -> tuple[int, int]:
+def _gm_labellings(d: int) -> tuple[tuple[Gram, tuple[Fraction, ...], str], ...]:
+    """One (Gram, residue vector, gamma) triple per labelling orbit of the
+    Gushel-Mukai locus of discriminant d.
+
+    The residue vector is in (h1, h2, zeta)-coordinates, and its -1/2
+    coefficients name the residue class: on h1 for e*, on h2 for f*, on
+    both for e*+f*, on neither for 0.  d = 0 or 4 (mod 8) has one orbit,
+    d = 2 (mod 8) two.
+    """
     d = checked_int(d, "d")
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     r = d % 8
-    if r not in (0, 2, 4):
-        raise ValueError(
-            f"d = {d} has d = {r} (mod 8); the labelling exists only for d = 0, 2, or 4 (mod 8)"
+    half, zero, one = Fraction(-1, 2), Fraction(0), Fraction(1)
+    if r == 0:
+        return ((((2, 0, 0), (0, 2, 0), (0, 0, d // 4)), (zero, zero, one), "0"),)
+    if r == 4:
+        return ((((2, 0, 1), (0, 2, 1), (1, 1, (d + 4) // 4)), (half, half, one), "e*+f*"),)
+    if r == 2:
+        corner = (d + 2) // 4
+        return (
+            (((2, 0, 1), (0, 2, 0), (1, 0, corner)), (half, zero, one), "e*"),
+            (((2, 0, 0), (0, 2, 1), (0, 1, corner)), (zero, half, one), "f*"),
         )
-    return d, r
+    raise ValueError(
+        f"d = {d} has d = {r} (mod 8); the labelling exists only for d = 0, 2, or 4 (mod 8)"
+    )
 
 
 def gm_labelling_gram(d: int) -> tuple[Gram, ...]:
@@ -226,15 +227,7 @@ def gm_labelling_gram(d: int) -> tuple[Gram, ...]:
     The corner entry is odd in the d = 2 (mod 8) case, so these are plain
     symmetric integer matrices, not even lattices.
     """
-    d, r = _gm_check_residue(d)
-    if r == 0:
-        return (((2, 0, 0), (0, 2, 0), (0, 0, d // 4)),)
-    if r == 4:
-        return (((2, 0, 1), (0, 2, 1), (1, 1, (d + 4) // 4)),)
-    corner = (d + 2) // 4
-    k_prime = ((2, 0, 1), (0, 2, 0), (1, 0, corner))
-    k_double = ((2, 0, 0), (0, 2, 1), (0, 1, corner))
-    return (k_prime, k_double)
+    return tuple(gram for gram, _, _ in _gm_labellings(d))
 
 
 def _witness(gram: Gram, vec: tuple[Fraction, ...], d: int) -> LabellingWitness:
@@ -260,32 +253,17 @@ def gm_residue_vector(d: int) -> tuple[LabellingWitness, ...]:
     The d = 2 (mod 8) case produces one vector per labelling orbit, each
     checked inside its own Gram matrix.
     """
-    d, r = _gm_check_residue(d)
-    grams = gm_labelling_gram(d)
-    half = Fraction(1, 2)
-    one = Fraction(1)
-    zero = Fraction(0)
-    if r == 0:
-        return (_witness(grams[0], (zero, zero, one), d),)
-    if r == 4:
-        return (_witness(grams[0], (-half, -half, one), d),)
-    return (
-        _witness(grams[0], (-half, zero, one), d),
-        _witness(grams[1], (zero, -half, one), d),
-    )
+    d = checked_int(d, "d")
+    return tuple(_witness(gram, vec, d) for gram, vec, _ in _gm_labellings(d))
 
 
 def gm_heegner_index(d: int) -> tuple[HeegnerIndex, ...]:
     """Heegner indices for the Gushel-Mukai locus of discriminant d."""
-    d, r = _gm_check_residue(d)
-    n = Fraction(d, 8)
-    if r == 0:
-        gammas = ("0",)
-    elif r == 2:
-        gammas = ("e*", "f*")
-    else:
-        gammas = ("e*+f*",)
-    return tuple(HeegnerIndex(n=n, gamma=g, lattice_tag="Lambda_GM") for g in gammas)
+    d = checked_int(d, "d")
+    return tuple(
+        HeegnerIndex(n=Fraction(d, 8), gamma=gamma, lattice_tag="Lambda_GM")
+        for _, _, gamma in _gm_labellings(d)
+    )
 
 
 def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
@@ -318,26 +296,6 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
     )
 
 
-def hilb_square_route(g: int, n: int) -> HilbertSquareRoute:
-    """Recast genus g through the Hilbert square when d/2 - n is a square."""
-    g, n = checked_int(g, "g"), checked_int(n, "n")
-    if g < 2:
-        raise ValueError(f"g must be at least 2, got {g}")
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    d = 2 * g - 2
-    diff = d // 2 - n
-    if diff < 0:
-        raise ValueError(f"d/2 - n = {diff} is negative for g={g}, n={n}")
-    m = isqrt(diff)
-    if m * m != diff:
-        raise ValueError(f"d/2 - n = {diff} is not a perfect square for g={g}, n={n}")
-    family = hk_heegner_index(n, 1, d)
-    return HilbertSquareRoute(
-        g=g, n=n, m=m, target=(2 * n, 1), heegner_index=family.index, lattice_tag=family.lattice_tag
-    )
-
-
 def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:
     """Half-Gram matrix of a tuple of vectors from one ambient lattice."""
     vectors = list(vectors)
@@ -359,7 +317,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     lexicographically least primitive vector w of norm d in the spare E8
     block.  Those summands are unimodular, so the complement is w-perp inside
     the spare E8, padded with zeros to the 28 ambient coordinates, and the
-    image is primitive iff w is (its Smith form is 1, ..., 1, gcd w).  The
+    image is primitive iff gcd w = 1 (its Smith form is 1, ..., 1, gcd w).  The
     complement basis is an integer kernel basis of rank 7 in row-HNF; its
     moment matrix is the complement Gram over 2, and its determinant is
     checked against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
@@ -373,10 +331,8 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
         raise ValueError(
             f"no primitive vector of norm {d} in E8 (searched the full norm-{d} ellipsoid)"
         )
-    units = identity(28)
-    image = [tuple(units[i]) for i in (*range(16), *range(24, 28))]
+    image = [(0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28))]
     image.append((0,) * 16 + tuple(w) + (0,) * 4)
-    primitive = not elementary_divisors([list(w)])
     complement, spare = orthogonal_complement(e8, [w])
     basis = [(0,) * 16 + b + (0,) * 4 for b in spare]
     if len(basis) != 7:
@@ -391,5 +347,5 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
         moment=moment,
         det_lhs=moment.det,
         det_rhs=Fraction(d, 2**7),
-        image_primitive=primitive,
+        image_primitive=gcd(*w) == 1,
     )

@@ -13,6 +13,7 @@ from heegnerlab.arith import (
     sigma_power,
 )
 from heegnerlab.bounds import (
+    THEOREM_RANGE_MIN_D,
     SandwichReport,
     admissibility_report,
     case_a,
@@ -29,6 +30,7 @@ from heegnerlab.bounds import (
     zeta_partial_sum,
     zeta_tail_bound,
 )
+from heegnerlab.cycles import hk_heegner_index
 
 
 def test_case_a_examples():
@@ -298,6 +300,34 @@ def test_certificate_g2_only_uniform():
     assert cert.routes[0].multiplier == 1
     with pytest.raises(ValueError, match="at least 2"):
         irr_bound_certificate(1, 10)
+
+
+def test_certificate_routes_read_the_admissibility_report():
+    """Routes A and B exist iff their case passes in the range d >= 8, and the
+    C(n) routes are exactly the case C witnesses there, each indexed by the
+    split hyperkaehler family of degree 2n."""
+    assert THEOREM_RANGE_MIN_D == 8
+    for g in range(2, 301):
+        d = 2 * g - 2
+        cert = irr_bound_certificate(g)
+        names = [r.route for r in cert.routes]
+        assert ("A" in names) == (case_a(d).ok and d >= 8)
+        assert ("B" in names) == (case_b(d).ok and d >= 8)
+        witnesses = case_c(d, 10) if d >= 8 else []
+        c_routes = [r for r in cert.routes if r.route.startswith("C(")]
+        assert [r.route for r in c_routes] == [f"C({n})" for n, _ in witnesses]
+        for route, (n, m) in zip(c_routes, witnesses):
+            (index,) = route.indices
+            assert index.n == hk_heegner_index(n, 1, d).index
+            assert d // 2 - n == m**2 and route.extras["m"] == m
+            assert route.extras["target"] == {"degree": 2 * n, "delta": 1}
+            assert (index.gamma, index.lattice_tag) == ("all", f"Lambda_HK_prim({n},1)")
+
+
+def test_hilbert_square_route_examples():
+    for g, n, m, index in ((10, 5, 2, Fraction(9, 20)), (7, 2, 2, Fraction(3, 4)), (5, 4, 0, Fraction(1, 4))):
+        route = next(r for r in irr_bound_certificate(g).routes if r.route == f"C({n})")
+        assert (route.extras["m"], route.indices[0].n, route.extras["target"]["degree"]) == (m, index, 2 * n)
 
 
 def test_uniform_multiplier_consistency():

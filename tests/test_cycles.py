@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.cycles import (
+    HKIndexFamily,
     HeegnerIndex,
     MomentMatrix,
     cubic_heegner_index,
@@ -15,12 +17,12 @@ from heegnerlab.cycles import (
     gm_heegner_index,
     gm_labelling_gram,
     gm_residue_vector,
-    hilb_square_route,
     hk_heegner_index,
     moment_matrix,
 )
+from heegnerlab.discriminant import discriminant_group
 from heegnerlab.intlinalg import elementary_divisors, identity
-from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, orthogonal_complement
+from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, make_lattice, orthogonal_complement
 
 from conftest import bareiss_determinant, fraction_determinant, symmetric_signature
 
@@ -103,31 +105,33 @@ def test_gm_heegner_indices():
                 assert (idx.n * 4).denominator == 1
 
 
+def test_gm_gamma_is_the_half_pattern_of_the_residue_vector():
+    """-1/2 on h1 is e*, on h2 is f*, on both e*+f*, on neither 0."""
+    labels = {(False, False): "0", (True, False): "e*", (False, True): "f*", (True, True): "e*+f*"}
+    for d in range(2, 2001, 2):
+        if d % 8 not in (0, 2, 4):
+            continue
+        witnesses = gm_residue_vector(d)
+        indices = gm_heegner_index(d)
+        assert len(witnesses) == len(indices) == len(gm_labelling_gram(d))
+        for w, idx in zip(witnesses, indices):
+            pattern = tuple(c == Fraction(-1, 2) for c in w.residue_vector[:2])
+            assert idx.gamma == labels[pattern]
+
+
 def test_hk_index_families():
     fam = hk_heegner_index(1, 1, 8)
     assert fam.index == 1 and fam.disc == 4 and fam.norm_vv == 2
     fam = hk_heegner_index(3, 2, 6)
     assert fam.index == 1 and fam.disc == 3 and fam.norm_vv == 2
     assert fam.gamma == "all"
+    assert "gamma" not in {f.name for f in dataclasses.fields(HKIndexFamily)}
     with pytest.raises(ValueError, match="3 \\(mod 4\\)"):
         hk_heegner_index(2, 2, 8)
     with pytest.raises(ValueError, match="delta"):
         hk_heegner_index(1, 3, 8)
     with pytest.raises(ValueError, match="even"):
         hk_heegner_index(1, 1, 7)
-
-
-def test_hilbert_square_routes():
-    r = hilb_square_route(10, 5)
-    assert (r.m, r.heegner_index, r.target) == (2, Fraction(9, 20), (10, 1))
-    r = hilb_square_route(7, 2)
-    assert (r.m, r.heegner_index) == (2, Fraction(3, 4))
-    r = hilb_square_route(5, 4)
-    assert (r.m, r.heegner_index) == (0, Fraction(1, 4))
-    with pytest.raises(ValueError, match="square"):
-        hilb_square_route(6, 3)
-    with pytest.raises(ValueError, match="negative"):
-        hilb_square_route(2, 5)
 
 
 def test_moment_matrix_basics():
@@ -310,8 +314,6 @@ _NON_INTEGER_CALLS = [
     (gm_heegner_index, (10.5,), "d"),
     (gm_labelling_gram, (10.5,), "d"),
     (gm_residue_vector, (10.5,), "d"),
-    (hilb_square_route, (5.5, 1), "g"),
-    (hilb_square_route, (5, 1.5), "n"),
 ]
 
 
@@ -339,7 +341,28 @@ def test_heegner_index_names_every_period_lattice():
             HeegnerIndex(n=Fraction(1, 2 * level), gamma="0", lattice_tag=tag)
 
 
-@pytest.mark.parametrize("n", [0.5, 1.0, "1/3", None, complex(1, 0)])
+@pytest.mark.parametrize("n", [0.5, 1.0, "1/3", None, complex(1, 0), True])
 def test_heegner_index_requires_a_rational_n(n):
     with pytest.raises(ValueError, match="rational"):
         HeegnerIndex(n=n, gamma="0", lattice_tag="Lambda_C")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gamma", 5), ("gamma", None), ("gamma", b"0"), ("lattice_tag", None), ("lattice_tag", b"Lambda_C")],
+)
+def test_heegner_index_requires_string_labels(field, value):
+    kwargs = {"n": Fraction(1, 3), "gamma": "0", "lattice_tag": "Lambda_C", field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a string"):
+        HeegnerIndex(**kwargs)
+
+
+def test_kudla_complement_discriminant_form_is_minus_rank1():
+    """Nikulin (1980, Prop. 1.6.1): w primitive in the unimodular E8 makes the
+    discriminant form of w-perp anti-isometric to that of <w> = rank1(d), so
+    it has order d and the q-values -x^2/(2d) mod 1."""
+    for d in range(2, 401, 2):
+        group = discriminant_group(make_lattice(embed_k3_lattice(d).complement_gram))
+        assert group.order == d
+        q_values = sorted(group.q(e) for e in group.elements())
+        assert q_values == sorted(Fraction(-x * x, 2 * d) % 1 for x in range(d))
