@@ -18,7 +18,9 @@ from typing import ClassVar, Sequence
 
 from .enumeration import first_primitive_vector
 from .intlinalg import checked_int, symmetric_invariants
-from .lattices import CACHE_SIZE, DualVector, build_named_lattice, named_lattice, orthogonal_complement
+from .lattices import (
+    CACHE_SIZE, DualVector, build_named_lattice, gram_determinant, named_lattice, orthogonal_complement,
+)
 from .discriminant import discriminant_group
 
 Gram = tuple[tuple[int, ...], ...]
@@ -154,10 +156,15 @@ class EmbeddingWitness:
     image_basis: tuple[tuple[int, ...], ...]
     complement_basis: tuple[tuple[int, ...], ...]
     complement_gram: Gram
-    moment: MomentMatrix
     det_lhs: Fraction
     det_rhs: Fraction
     image_primitive: bool
+
+    @property
+    def moment(self) -> MomentMatrix:
+        """The complement Gram over 2, built when read."""
+        halves = tuple(tuple(Fraction(x, 2) for x in row) for row in self.complement_gram)
+        return MomentMatrix(entries=halves)
 
     @property
     def det_check_passed(self) -> bool:
@@ -299,6 +306,8 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
 def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:
     """Half-Gram matrix of a tuple of vectors from one ambient lattice."""
     vectors = list(vectors)
+    if not all(isinstance(v, DualVector) for v in vectors):
+        raise ValueError(f"vectors must be DualVectors, got {vectors!r}")
     if vectors:
         ambient = vectors[0].lattice
         if any(v.lattice != ambient for v in vectors[1:]):
@@ -307,6 +316,10 @@ def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:
         tuple(vi.pairing(vj) / 2 for vj in vectors) for vi in vectors
     )
     return MomentMatrix(entries=entries)
+
+
+# The image rows of E8 + E8 + U + U, which map identically onto Lambda_sharp.
+_IMAGE_UNITS = tuple((0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28)))
 
 
 def embed_k3_lattice(d: int) -> EmbeddingWitness:
@@ -319,8 +332,9 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     the spare E8, padded with zeros to the 28 ambient coordinates, and the
     image is primitive iff gcd w = 1 (its Smith form is 1, ..., 1, gcd w).  The
     complement basis is an integer kernel basis of rank 7 in row-HNF; its
-    moment matrix is the complement Gram over 2, and its determinant is
-    checked against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
+    moment matrix is the complement Gram G over 2, so det(T) = det G / 2^7 is
+    read from the integer elimination the complement already ran and checked
+    against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
     """
     d = checked_int(d, "d")
     if d <= 0 or d % 2 != 0:
@@ -331,21 +345,16 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
         raise ValueError(
             f"no primitive vector of norm {d} in E8 (searched the full norm-{d} ellipsoid)"
         )
-    image = [(0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28))]
-    image.append((0,) * 16 + tuple(w) + (0,) * 4)
     complement, spare = orthogonal_complement(e8, [w])
     basis = [(0,) * 16 + b + (0,) * 4 for b in spare]
     if len(basis) != 7:
         raise AssertionError(f"complement rank {len(basis)} != 7 for d={d}")
-    halves = tuple(tuple(Fraction(x, 2) for x in row) for row in complement.gram)
-    moment = MomentMatrix(entries=halves)
     return EmbeddingWitness(
         d=d,
-        image_basis=tuple(image),
+        image_basis=(*_IMAGE_UNITS, (0,) * 16 + tuple(w) + (0,) * 4),
         complement_basis=tuple(basis),
         complement_gram=complement.gram,
-        moment=moment,
-        det_lhs=moment.det,
+        det_lhs=Fraction(gram_determinant(complement), 2**7),
         det_rhs=Fraction(d, 2**7),
         image_primitive=gcd(*w) == 1,
     )

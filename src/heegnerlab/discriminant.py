@@ -155,6 +155,8 @@ class DiscriminantGroup:
 
 def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> DiscriminantGroup:
     """Compute D(M) with generator lifts via Smith normal form of the Gram."""
+    if not isinstance(lattice, IntegerLattice):
+        raise ValueError(f"lattice must be an IntegerLattice, got {lattice!r}")
     det = gram_determinant(lattice)
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")

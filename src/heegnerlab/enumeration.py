@@ -14,16 +14,18 @@ distinguished representative stop at the first hit.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
 from numbers import Rational
 from typing import Iterator, Sequence
 
-from .lattices import DualVector, IntegerLattice
+from .lattices import CACHE_SIZE, DualVector, IntegerLattice
 
 
-def _decompose(lattice: IntegerLattice) -> list[list[int]]:
-    """Fraction-free LDL^T of the coordinate-reversed Gram matrix.
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _decompose(lattice: IntegerLattice) -> tuple[tuple[int, ...], ...]:
+    """Fraction-free LDL^T of the coordinate-reversed Gram matrix, once per lattice.
 
     Row l is taken at its pivot step, so rows[l][l] is the leading minor
     D_{l+1} (with D_0 = 1) and, for z in reversed coordinates,
@@ -42,7 +44,7 @@ def _decompose(lattice: IntegerLattice) -> list[list[int]]:
             for j in range(l + 1, n):
                 row[j] = (d * row[j] - f * top[j]) // prev
         prev = d
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def _exact_norm(norm) -> Fraction:
@@ -65,6 +67,8 @@ def lex_stream(
     |t| <= isqrt(budget // k).  Each level runs in ascending order, so
     solutions come out in ascending lexicographic order.
     """
+    if not isinstance(lattice, IntegerLattice):
+        raise ValueError(f"lattice must be an IntegerLattice, got {lattice!r}")
     rows = _decompose(lattice)
     target = _exact_norm(norm)
     if target < 0:
@@ -112,6 +116,8 @@ def enumerate_by_norm(
     """
     if coset is None:
         return [DualVector.from_scaled(lattice, x) for x in lex_stream(lattice, norm)]
+    if not isinstance(coset, DualVector):
+        raise ValueError(f"coset must be a DualVector or None, got {coset!r}")
     if coset.lattice != lattice:
         raise ValueError("coset representative lives in a different lattice")
     num, den = coset.num, coset.den

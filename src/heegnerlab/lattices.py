@@ -289,8 +289,14 @@ def twist(lattice: IntegerLattice) -> IntegerLattice:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
+def _gram_invariants(gram: Gram) -> tuple[int, int, int, int]:
+    """symmetric_invariants of an integer Gram, shared by a complement and its determinant."""
+    return symmetric_invariants(gram)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gram_determinant(lattice: IntegerLattice) -> int:
-    return symmetric_invariants(lattice.gram)[3]
+    return _gram_invariants(lattice.gram)[3]
 
 
 def disc(lattice: IntegerLattice) -> int:
@@ -333,17 +339,25 @@ def orthogonal_complement(
     whose induced Gram is degenerate (possible in an indefinite lattice) is
     not a lattice here, so it raises ValueError naming the nullity.
     """
-    for v in vectors:
+    try:
+        vecs = [list(v) for v in vectors]
+    except TypeError:
+        raise ValueError(f"vectors must be a sequence of integer vectors, got {vectors!r}") from None
+    for v in vecs:
         lattice.check_length(v)
-    vecs = [[checked_int(x) for x in v] for v in vectors]
+    vecs = [[checked_int(x) for x in v] for v in vecs]
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]
     basis = kernel_basis(pairing_rows)
     images = [mat_vec(lattice.gram, b) for b in basis]
-    induced = [[sum(x * y for x, y in zip(bi, gbj)) for gbj in images] for bi in basis]
-    p, q, z, _ = symmetric_invariants(induced)
+    induced = [[0] * len(basis) for _ in basis]
+    for i, bi in enumerate(basis):
+        for j in range(i, len(basis)):
+            induced[i][j] = induced[j][i] = sum(x * y for x, y in zip(bi, images[j]))
+    gram = tuple(map(tuple, induced))
+    p, q, z, _ = _gram_invariants(gram)
     if z:
         raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
-    result = IntegerLattice(gram=tuple(map(tuple, induced)), signature=(p, q))
+    result = IntegerLattice(gram=gram, signature=(p, q))
     return result, [tuple(b) for b in basis]

@@ -15,9 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
 from .discriminant import DiscriminantGroup
+from .intlinalg import checked_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,6 +58,7 @@ class WeilRepresentation:
 
 def weight_of(m: int) -> int:
     """Modular weight 1 + m/2 attached to positive-inertia count m."""
+    m = checked_int(m, "m")
     if m % 2 != 0:
         raise ValueError(f"m must be even, got {m}")
     if m < 2:
@@ -71,6 +74,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     """
     import numpy as np
 
+    m = checked_int(m, "m")
     if m % 2 != 0 or m <= 0:
         raise ValueError(f"m must be an even positive integer, got {m}")
     dim = group.order
@@ -103,8 +107,8 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     """
     import numpy as np
 
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive and finite tolerance, got {tol!r}")
     s = rep.s_matrix
     t = rep.t_matrix
     eye = np.eye(rep.dim)

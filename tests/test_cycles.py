@@ -366,3 +366,38 @@ def test_kudla_complement_discriminant_form_is_minus_rank1():
         assert group.order == d
         q_values = sorted(group.q(e) for e in group.elements())
         assert q_values == sorted(Fraction(-x * x, 2 * d) % 1 for x in range(d))
+
+
+def test_integer_det_matches_the_fraction_moment_route():
+    """Fast path == slow path: det(T) from the integer complement Gram against
+    the eliminated Fraction half-Gram, and the on-demand moment against
+    moment_matrix of the padded complement vectors."""
+    sharp = build_named_lattice("Lambda_sharp")
+    for d in range(2, 601, 2):
+        wit = embed_k3_lattice(d)
+        halves = tuple(tuple(Fraction(x, 2) for x in row) for row in wit.complement_gram)
+        assert wit.det_lhs == MomentMatrix(entries=halves).det == Fraction(d, 2**7)
+        assert wit.moment.rank == 7
+        assert wit.moment == moment_matrix([DualVector.from_scaled(sharp, b) for b in wit.complement_basis])
+
+
+def test_certificate_path_runs_one_integer_elimination(monkeypatch):
+    from heegnerlab import cycles, intlinalg, lattices
+
+    grams = []
+
+    def counting(mat):
+        grams.append(mat)
+        return intlinalg.symmetric_invariants(mat)
+
+    monkeypatch.setattr(lattices, "symmetric_invariants", counting)
+    monkeypatch.setattr(cycles, "symmetric_invariants", counting)
+    lattices._gram_invariants.cache_clear()
+    wit = embed_k3_lattice(2 * 777_777)
+    assert grams == [wit.complement_gram]
+    assert wit.det_check_passed
+
+
+def test_moment_matrix_rejects_non_vectors():
+    with pytest.raises(ValueError, match="vectors"):
+        moment_matrix([(1, 0)])

@@ -250,3 +250,8 @@ def test_hard_cap_is_checked_not_truncated():
     assert discriminant_group(a2, hard_cap=3.0).order == 3
     with pytest.raises(ValueError, match="hard cap 2"):
         discriminant_group(a2, hard_cap=2.0)
+
+
+def test_non_lattice_rejected():
+    with pytest.raises(ValueError, match="lattice"):
+        discriminant_group(None)

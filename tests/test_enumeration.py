@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.enumeration import enumerate_by_norm, first_primitive_vector
-from heegnerlab.lattices import build_named_lattice, is_primitive
+from heegnerlab.enumeration import _decompose, enumerate_by_norm, first_primitive_vector, lex_stream
+from heegnerlab.lattices import CACHE_SIZE, build_named_lattice, is_primitive
 
 from conftest import box_norm_table, invert_rational, random_positive_definite_lattice
 
@@ -212,3 +212,32 @@ def test_integer_traversal_matches_box_oracle(case):
             vecs = [tuple(map(int, v)) for v in table.get(Fraction(norm), [])]
             first = next((v for v in vecs if math.gcd(*v) == 1), None)
             assert first_primitive_vector(lattice, norm) == first, (lattice.gram, norm)
+
+
+def test_decompose_cache_is_bounded_and_read_only():
+    lattices = {random_positive_definite_lattice(random.Random(seed), 3) for seed in range(50)}
+    assert len(lattices) >= 40 > CACHE_SIZE
+    for lattice in lattices:
+        first_primitive_vector(lattice, 2)
+    info = _decompose.cache_info()
+    assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
+    rows = _decompose(build_named_lattice("E8"))
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+
+
+def test_lex_stream_identical_on_cache_miss_and_hit():
+    lattice = random_positive_definite_lattice(random.Random(4242), 4)
+    misses = _decompose.cache_info().misses
+    cold = list(lex_stream(lattice, 6))
+    assert _decompose.cache_info().misses == misses + 1
+    hits = _decompose.cache_info().hits
+    warm = list(lex_stream(lattice, 6))
+    assert _decompose.cache_info().hits == hits + 1
+    assert cold == warm
+
+
+def test_non_lattice_arguments_rejected():
+    with pytest.raises(ValueError, match="lattice"):
+        first_primitive_vector(None, 2)
+    with pytest.raises(ValueError, match="coset"):
+        enumerate_by_norm(build_named_lattice("A2"), 2, coset=3)

@@ -18,6 +18,7 @@ from heegnerlab.lattices import (
     named_lattice,
     orthogonal_complement,
     twist,
+    _gram_invariants,
 )
 
 from conftest import invert_rational, random_even_gram
@@ -217,7 +218,7 @@ def test_lattice_caches_stay_bounded():
         _tag_level(f"Lambda_HK_prim({n},1)")
     for d in range(2, 2 * extra + 1, 2):
         assert _tag_level(f"Lambda_d({d})") == 2 * d
-    for cached in (build_named_lattice, gram_determinant, _tag_level):
+    for cached in (build_named_lattice, gram_determinant, _gram_invariants, _tag_level):
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
@@ -312,3 +313,10 @@ def test_named_lattice_rejects_non_tags(tag):
         named_lattice(tag)
     with pytest.raises(ValueError):
         HeegnerIndex(n=Fraction(0), gamma="0", lattice_tag=tag)
+
+
+def test_complement_rejects_non_vectors():
+    e8 = build_named_lattice("E8")
+    for bad in (None, [None]):
+        with pytest.raises(ValueError, match="vectors"):
+            orthogonal_complement(e8, bad)

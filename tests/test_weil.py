@@ -138,3 +138,21 @@ def test_relation_report_shape():
         assert set(doc) == {"relation", "max_deviation", "pass"}
     with pytest.raises(ValueError, match="positive"):
         verify_sl2_relations(rep, tol=0.0)
+
+
+def test_m_is_checked_as_an_integer():
+    group = discriminant_group(build_named_lattice("Lambda_C"))
+    with pytest.raises(ValueError, match="m must be an integer"):
+        weight_of("20")
+    with pytest.raises(ValueError, match="m must be an integer"):
+        build_weil_rep(group, "20")
+    assert weight_of(20.0) == 11 and type(weight_of(20.0)) is int
+    rep = build_weil_rep(group, 20.0)
+    assert (rep.m, rep.weight) == (20, 11) and type(rep.m) is int and type(rep.weight) is int
+
+
+@pytest.mark.parametrize("tol", ["1e-9", None])
+def test_non_number_tolerance_rejected(tol):
+    rep = build_weil_rep(discriminant_group(build_named_lattice("Lambda_C")), 20)
+    with pytest.raises(ValueError, match="tol"):
+        verify_sl2_relations(rep, tol=tol)
