@@ -198,10 +198,11 @@ def run_admissible(args) -> tuple[object, int]:
 
 
 def run_bound(args) -> tuple[object, int]:
-    if args.g is not None:
-        return irr_bound_certificate(args.g, args.n_max), 0
-    certs = [irr_bound_certificate(g, args.n_max) for g in _parse_range(args.g_range)]
-    return certs, 0
+    genera = [args.g] if args.g is not None else _parse_range(args.g_range)
+    certs = [irr_bound_certificate(g, args.n_max) for g in genera]
+    # exit 1 when a uniform route's witness fails its det check, as `embed` does
+    failed = any(not route.extras.get("det_check_pass", True) for cert in certs for route in cert.routes)
+    return certs[0] if args.g is not None else certs, int(failed)
 
 
 def run_growth(args) -> tuple[object, int]:

@@ -7,6 +7,13 @@ scaling the target norm by one common integer turns every interval bound into
 an integer square root and every acceptance check into an integer equality,
 so no boundary vector is ever gained or lost to rounding.
 
+The traversal is one iterative depth-first loop with its per-coordinate state
+in flat lists, no recursion and no nested generators.  It stops one
+coordinate early: the last coordinate has a closed form, because the budget
+left must equal k t^2 for an integer t, so no leaf interval is scanned.  It
+yields the numerators den*x + num of each coset vector, which are already
+in lowest terms, so `enumerate_by_norm` wraps them without reducing.
+
 Vectors are produced in ascending lexicographic order of their coordinates,
 which makes full enumerations canonically sorted and lets searches for a
 distinguished representative stop at the first hit.
@@ -18,6 +25,7 @@ import functools
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm
 from numbers import Rational
+from operator import mul
 from typing import Iterator, Sequence
 
 from .lattices import CACHE_SIZE, DualVector, IntegerLattice
@@ -25,26 +33,28 @@ from .lattices import CACHE_SIZE, DualVector, IntegerLattice
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _decompose(lattice: IntegerLattice) -> tuple[tuple[int, ...], ...]:
-    """Fraction-free LDL^T of the coordinate-reversed Gram matrix, once per lattice.
+    """Fraction-free LDL^T of the Gram matrix, eliminating from the last
+    coordinate, once per lattice.
 
-    Row l is taken at its pivot step, so rows[l][l] is the leading minor
-    D_{l+1} (with D_0 = 1) and, for z in reversed coordinates,
-    Q(z) = sum_l (sum_{j>=l} rows[l][j] z_j)^2 / (D_l D_{l+1}).
+    Row i is taken at its pivot step and cut after column i, so rows[i][i] is
+    the trailing principal minor M_i on coordinates i..n-1 (with M_n = 1) and
+    Q(x) = sum_i (sum_{k<=i} rows[i][k] x_k)^2 / (M_i M_{i+1}).
     Raises unless every pivot is positive (Sylvester's criterion).
     """
     n = lattice.rank
-    rows = [[lattice.gram[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in lattice.gram]
     prev = 1
-    for l, top in enumerate(rows):
-        d = top[l]
+    for i in reversed(range(n)):
+        top = a[i]
+        d = top[i]
         if d <= 0:
             raise ValueError("enumeration requires definite lattice (positive definite Gram)")
-        for row in rows[l + 1 :]:
-            f = row[l]
-            for j in range(l + 1, n):
+        for row in a[:i]:
+            f = row[i]
+            for j in range(i):
                 row[j] = (d * row[j] - f * top[j]) // prev
         prev = d
-    return tuple(map(tuple, rows))
+    return tuple(tuple(row[: i + 1]) for i, row in enumerate(a))
 
 
 def _exact_norm(norm) -> Fraction:
@@ -56,16 +66,20 @@ def _exact_norm(norm) -> Fraction:
 def lex_stream(
     lattice: IntegerLattice, norm, num: Sequence[int] | None = None, den: int = 1
 ) -> Iterator[tuple[int, ...]]:
-    """All integer x with <x + num/den, x + num/den> = norm, in lex order of x.
+    """Numerators w = den*x + num of all integer x with <w/den, w/den> = norm,
+    in lex order of x (the same as lex order of w).  With num None, w = x.
 
-    The recursion runs on the coordinate-reversed Gram matrix so the first
-    coordinate is chosen in the outermost loop.  With w = den*x + num, level l
-    of the decomposition contributes t_l^2 / (den^2 D_l D_{l+1}), where
-    t_l = sum_{j>=l} rows[l][j] w_j is an integer.  Multiplying the target
-    Nn/Nd by den^2 K Nd, K = lcm_l(D_l D_{l+1}), gives an integer budget and
-    integer weights k_l, and t^2 k <= budget holds exactly when
-    |t| <= isqrt(budget // k).  Each level runs in ascending order, so
-    solutions come out in ascending lexicographic order.
+    One iterative depth-first loop fixes coordinate i at depth i; the x,
+    upper end, centre and budget of each depth live in flat lists.  Row i of
+    the decomposition contributes t_i^2 / (den^2 M_i M_{i+1}), where
+    t_i = sum_{k<=i} rows[i][k] w_k is an integer.  Multiplying the target
+    Nn/Nd by den^2 K Nd, K = lcm_i(M_i M_{i+1}), gives an integer budget and
+    integer weights k_i, and t^2 k <= budget holds exactly when
+    |t| <= isqrt(budget // k).  Every depth but the last runs x upward over
+    that interval.  The last coordinate has a closed form: the remaining
+    budget must equal t^2 k, so t = -sqrt(q), +sqrt(q) for the square
+    q = budget / k, and x = (t - centre) / step only where that divides
+    exactly.  So solutions come out in ascending lexicographic order.
     """
     if not isinstance(lattice, IntegerLattice):
         raise ValueError(f"lattice must be an IntegerLattice, got {lattice!r}")
@@ -78,30 +92,55 @@ def lex_stream(
         if target == 0:
             yield ()
         return
-    shift = [0] * n if num is None else list(num)[::-1]
-    pivots = [rows[l][l] for l in range(n)]
-    minors = [p * a for p, a in zip([1] + pivots, pivots)]
+    if num is None:
+        num, den = (0,) * n, 1
+    else:
+        lattice.check_length(num)
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+    pivots = [row[-1] for row in rows]
+    minors = [p * a for p, a in zip(pivots, pivots[1:] + [1])]
     scale = lcm(*minors)
     weights = [scale * target.denominator // m for m in minors]
-    ws = [0] * n
-
-    def descend(l: int, budget: int) -> Iterator[tuple[int, ...]]:
-        row, k, s = rows[l], weights[l], shift[l]
-        c = row[l] * s + sum(row[j] * ws[j] for j in range(l + 1, n))
-        step = den * row[l]
-        r = isqrt(budget // k)
-        for x in range(-((r + c) // step), (r - c) // step + 1):
-            t = step * x + c
-            cost = t * t * k
-            if l == 0:
-                if cost == budget:
-                    yield (x,)
-            else:
-                ws[l] = den * x + s
-                for tail in descend(l - 1, budget - cost):
-                    yield (x,) + tail
-
-    yield from descend(n - 1, target.numerator * den * den * scale)
+    steps = [den * p for p in pivots]
+    xs, highs, centres, budgets = [0] * n, [0] * n, [0] * n, [0] * n
+    # w[j] = num[j] at every depth j not yet fixed, so the centre of depth i,
+    # rows[i][i] num[i] + sum_{k<i} rows[i][k] w_k, is one dot product.
+    w = list(num)
+    last = n - 1
+    i, budget = 0, target.numerator * den * den * scale
+    while True:
+        c = sum(map(mul, rows[i], w))
+        if i == last:
+            q, rem = divmod(budget, weights[i])
+            r = isqrt(q)
+            if not rem and r * r == q:
+                for t in (-r, r) if r else (0,):
+                    x, rem = divmod(t - c, steps[i])
+                    if not rem:
+                        w[i] = den * x + num[i]
+                        yield tuple(w)
+                w[i] = num[i]
+            if i == 0:
+                return
+            i -= 1
+            x = xs[i] + 1
+        else:
+            r = isqrt(budget // weights[i])
+            step = steps[i]
+            x = -((r + c) // step)
+            highs[i], centres[i], budgets[i] = (r - c) // step, c, budget
+        while x > highs[i]:
+            if i == 0:
+                return
+            w[i] = num[i]
+            i -= 1
+            x = xs[i] + 1
+        xs[i] = x
+        w[i] = den * x + num[i]
+        t = steps[i] * x + centres[i]
+        budget = budgets[i] - t * t * weights[i]
+        i += 1
 
 
 def enumerate_by_norm(
@@ -115,16 +154,16 @@ def enumerate_by_norm(
     definite ones first.
     """
     if coset is None:
-        return [DualVector.from_scaled(lattice, x) for x in lex_stream(lattice, norm)]
-    if not isinstance(coset, DualVector):
+        num, den = None, 1
+    elif not isinstance(coset, DualVector):
         raise ValueError(f"coset must be a DualVector or None, got {coset!r}")
-    if coset.lattice != lattice:
+    elif coset.lattice != lattice:
         raise ValueError("coset representative lives in a different lattice")
-    num, den = coset.num, coset.den
-    return [
-        DualVector.from_scaled(lattice, (s + den * c for s, c in zip(num, x)), den)
-        for x in lex_stream(lattice, norm, num, den)
-    ]
+    else:
+        num, den = coset.num, coset.den
+    # No reduction needed: num/den is in lowest terms and each w_i = num_i
+    # (mod den), so gcd(den, *w) = gcd(den, *num) = 1.
+    return [DualVector._of(lattice, w, den) for w in lex_stream(lattice, norm, num, den)]
 
 
 def first_primitive_vector(lattice: IntegerLattice, norm) -> tuple[int, ...] | None:

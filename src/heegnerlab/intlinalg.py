@@ -29,12 +29,17 @@ def is_symmetric(mat) -> bool:
 
 
 def checked_int(x, name: str = "entry") -> int:
-    """x as an int; ValueError naming `name` and x unless x is an integer."""
-    try:
-        if int(x) == x:
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """x as an int; ValueError naming `name` and x unless x is an integer.
+
+    A bool is refused although it compares equal to 0 or 1: a flag passed
+    where a count is meant is a caller's error.
+    """
+    if not isinstance(x, bool):
+        try:
+            if int(x) == x:
+                return int(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ValueError(f"{name} must be an integer, got {x} ({type(x).__name__})")
 
 
@@ -93,7 +98,11 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     U and V are unimodular; S is diagonal with nonnegative entries satisfying
     the divisibility chain S[0][0] | S[1][1] | ...
     """
-    a = [[checked_int(x) for x in row] for row in mat]
+    return _smith_normal_form([[checked_int(x) for x in row] for row in mat])
+
+
+def _smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """smith_normal_form of integer rows, which it reduces in place."""
     n = len(a)
     m = len(a[0]) if n else 0
     u = identity(n)
@@ -182,10 +191,10 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     m = len(mat[0]) if n else 0
     if n == 0:
         return identity(m)
-    s, _, v = smith_normal_form(mat)
+    s, _, v = _smith_normal_form([[checked_int(x) for x in row] for row in mat])
     r = sum(1 for i in range(min(n, m)) if s[i][i] != 0)
     cols = [[v[row][j] for row in range(m)] for j in range(r, m)]
-    return hermite_row_basis(cols)
+    return _hermite_row_basis(cols)
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -194,7 +203,12 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Pivots are positive, entries above a pivot are reduced to [0, pivot),
     and zero rows are dropped.
     """
-    work = [list(map(checked_int, r)) for r in rows if any(r)]
+    return _hermite_row_basis([list(map(checked_int, r)) for r in rows])
+
+
+def _hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
+    """hermite_row_basis of integer rows, which it reduces in place."""
+    work = [r for r in rows if any(r)]
     if not work:
         return []
     m = len(work[0])

@@ -89,7 +89,11 @@ class DualVector:
         if not all(isinstance(x, Rational) for x in coords):
             raise TypeError(f"dual vector coordinates must be integers or Fractions, got {coords}")
         den = lcm(*(int(x.denominator) for x in coords))
-        self._assign(lattice, tuple(int(x.numerator) * (den // int(x.denominator)) for x in coords), den)
+        num = tuple(int(x.numerator) * (den // int(x.denominator)) for x in coords)
+        lattice.check_length(num)
+        _set_lattice(self, lattice)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def from_scaled(cls, lattice: IntegerLattice, num: Iterable[int], den: int = 1) -> "DualVector":
@@ -97,19 +101,21 @@ class DualVector:
         num = tuple(num)
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
+        lattice.check_length(num)
         g = gcd(den, *num)
         if g > 1:
             num, den = tuple(x // g for x in num), den // g
-        vec = cls.__new__(cls)
-        vec._assign(lattice, num, den)
-        return vec
+        return cls._of(lattice, num, den)
 
-    def _assign(self, lattice: IntegerLattice, num: IntVector, den: int) -> None:
-        if len(num) != lattice.rank:
-            raise ValueError(f"vector of length {len(num)} in a lattice of rank {lattice.rank}")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    @classmethod
+    def _of(cls, lattice: IntegerLattice, num: IntVector, den: int) -> "DualVector":
+        """Trusted constructor: num has one entry per basis vector and
+        gcd(den, *num) = 1 already."""
+        vec = _new(cls)
+        _set_lattice(vec, lattice)
+        _set_num(vec, num)
+        _set_den(vec, den)
+        return vec
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -149,6 +155,12 @@ class DualVector:
 
     def __sub__(self, other: "DualVector") -> "DualVector":
         return self + -other
+
+
+# The slot descriptors fill the frozen fields without the name lookup of
+# object.__setattr__; enumeration builds one vector per lattice point.
+_new = object.__new__
+_set_lattice, _set_num, _set_den = (DualVector.__dict__[f].__set__ for f in ("lattice", "num", "den"))
 
 
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:

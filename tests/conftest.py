@@ -5,7 +5,10 @@ enumerator: it scans an integer box sized from the inverse Gram diagonal and
 filters by exact norm, with no tree pruning involved.  The elimination
 oracles (Bareiss determinant, Gauss-Jordan rank, inverse and inertia over
 Fraction) are the routines that `intlinalg.symmetric_invariants` replaced,
-kept here to check it.
+kept here to check it.  `recursive_lex_stream` is the nested-generator
+Fincke-Pohst traversal that the flat loop of `enumeration.lex_stream`
+replaced, kept as its slow path: it scans every leaf interval instead of
+solving for the last coordinate.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from heegnerlab.enumeration import _exact_norm
 from heegnerlab.intlinalg import Matrix
 from heegnerlab.lattices import DualVector, IntegerLattice, make_lattice
 
@@ -160,6 +164,50 @@ def symmetric_signature(mat) -> tuple[int, int, int]:
             a[piv][j] = Fraction(0)
     return p, q, z
 
+
+def recursive_lex_stream(lattice: IntegerLattice, norm, num=None, den: int = 1):
+    """All integer x with <x + num/den, x + num/den> = norm, in lex order of x,
+    by one nested generator per level and a scan of every leaf interval."""
+    n = lattice.rank
+    # fraction-free LDL^T of the coordinate-reversed Gram, row l taken at its pivot step
+    rows = [[lattice.gram[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    prev = 1
+    for l, top in enumerate(rows):
+        d = top[l]
+        for row in rows[l + 1 :]:
+            f = row[l]
+            for j in range(l + 1, n):
+                row[j] = (d * row[j] - f * top[j]) // prev
+        prev = d
+    target = _exact_norm(norm)
+    if n == 0:
+        if target == 0:
+            yield ()
+        return
+    shift = [0] * n if num is None else list(num)[::-1]
+    pivots = [rows[l][l] for l in range(n)]
+    minors = [p * a for p, a in zip([1] + pivots, pivots)]
+    scale = lcm(*minors)
+    weights = [scale * target.denominator // m for m in minors]
+    ws = [0] * n
+
+    def descend(l: int, budget: int):
+        row, k, s = rows[l], weights[l], shift[l]
+        c = row[l] * s + sum(row[j] * ws[j] for j in range(l + 1, n))
+        step = den * row[l]
+        r = isqrt(budget // k)
+        for x in range(-((r + c) // step), (r - c) // step + 1):
+            t = step * x + c
+            cost = t * t * k
+            if l == 0:
+                if cost == budget:
+                    yield (x,)
+            else:
+                ws[l] = den * x + s
+                for tail in descend(l - 1, budget - cost):
+                    yield (x,) + tail
+
+    yield from descend(n - 1, target.numerator * den * den * scale)
 
 
 def box_norm_table(lattice: IntegerLattice, max_norm, coset: DualVector | None = None):

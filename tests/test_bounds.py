@@ -355,6 +355,9 @@ _NON_INTEGER_CALLS = [
     (irr_bound_certificate, (2, 2.5), "n_max"),
     (irr_bound_certificate, ("14",), "g"),
     (case_c, (10, 2.5), "n_max"),
+    (case_c, (10, True), "n_max"),
+    (irr_bound_certificate, (8, True), "n_max"),
+    (irr_bound_certificate, (True,), "g"),
     (case_a, (14.2,), "d"),
     (case_b, (10.5,), "d"),
     (fm_partner_count, (7.5,), "g"),

@@ -297,6 +297,29 @@ def test_failed_internal_check_exits_1_without_traceback(monkeypatch, capsys):
     assert captured.err == "error: internal check failed: complement rank 6 != 7 for d=14\n"
 
 
+def test_bound_exits_1_when_a_det_check_fails(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from heegnerlab import bounds
+
+    real = bounds.embed_k3_lattice
+
+    def failing(d):
+        witness = real(d)
+        return replace(witness, det_lhs=witness.det_rhs + 1) if d == 14 else witness
+
+    assert cli.main(["bound", "--g", "7"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bounds, "embed_k3_lattice", failing)
+    assert cli.main(["bound", "--g", "8"]) == 1
+    uniform = json.loads(capsys.readouterr().out)["routes"][-1]
+    assert uniform["route"] == "uniform" and uniform["det_check_pass"] is False
+    assert cli.main(["bound", "--g-range", "6:10"]) == 1
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [doc["routes"][-1]["det_check_pass"] for doc in docs] == [True, True, False, True, True]
+    assert cli.main(["bound", "--g-range", "2:7"]) == 0
+
+
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, sys
 from heegnerlab.cli import main

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
 from heegnerlab.enumeration import _decompose, enumerate_by_norm, first_primitive_vector, lex_stream
-from heegnerlab.lattices import CACHE_SIZE, build_named_lattice, is_primitive
+from heegnerlab.lattices import CACHE_SIZE, DualVector, build_named_lattice, is_primitive, make_lattice
 
-from conftest import box_norm_table, invert_rational, random_positive_definite_lattice
+from conftest import box_norm_table, invert_rational, random_positive_definite_lattice, recursive_lex_stream
 
 
 def test_e8_root_count():
@@ -143,7 +143,7 @@ def test_e8_counts_match_divisor_sums():
     from heegnerlab.arith import sigma_power
 
     e8 = build_named_lattice("E8")
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         assert len(enumerate_by_norm(e8, 2 * n)) == 240 * sigma_power(3, n)
 
 
@@ -236,8 +236,101 @@ def test_lex_stream_identical_on_cache_miss_and_hit():
     assert cold == warm
 
 
+def test_shift_of_wrong_length_or_bad_denominator_rejected():
+    a2 = build_named_lattice("A2")
+    with pytest.raises(ValueError, match="vector of length 3 in a lattice of rank 2"):
+        list(lex_stream(a2, 2, (0, 0, 5), 1))
+    with pytest.raises(ValueError, match="vector of length 1 in a lattice of rank 2"):
+        list(lex_stream(a2, 2, (1,), 3))
+    with pytest.raises(ValueError, match="denominator must be positive, got 0"):
+        list(lex_stream(a2, 2, (1, 1), 0))
+
+
 def test_non_lattice_arguments_rejected():
     with pytest.raises(ValueError, match="lattice"):
         first_primitive_vector(None, 2)
     with pytest.raises(ValueError, match="coset"):
         enumerate_by_norm(build_named_lattice("A2"), 2, coset=3)
+
+
+def oracle_numerators(lattice, norm, num=None, den=1):
+    """The slow path's x, as the numerators w = den*x + num that lex_stream yields."""
+    shift = (0,) * lattice.rank if num is None else num
+    return [tuple(den * x + s for x, s in zip(xs, shift)) for xs in recursive_lex_stream(lattice, norm, num, den)]
+
+
+def assert_matches_slow_path(lattice, norm, coset=None):
+    num, den = (None, 1) if coset is None else (coset.num, coset.den)
+    fast = list(lex_stream(lattice, norm, num, den))
+    assert fast == oracle_numerators(lattice, norm, num, den), (lattice.gram, num, den, norm)
+    vecs = enumerate_by_norm(lattice, norm, coset=coset)
+    assert [v.num for v in vecs] == fast and all(v.den == den for v in vecs)
+    # the numerators are used unreduced: each must already be in lowest terms
+    for v in vecs:
+        again = DualVector.from_scaled(lattice, v.num, v.den)
+        assert (again.lattice, again.num, again.den) == (v.lattice, v.num, v.den)
+    return fast
+
+
+def random_definite(rng: random.Random, rank: int):
+    """Even definite Gram with diagonal 2, 4 or 6 and off-diagonal -1, 0 or 1."""
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = rng.choice((2, 4, 6))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-1, 1)
+        lattice = make_lattice(gram)
+        if lattice.signature == (rank, 0):
+            return lattice
+
+
+SLOW_PATH_MAX_NORM = 12
+
+
+@st.composite
+def lattices_with_shifts(draw):
+    rank = draw(st.integers(1, 6))
+    lattice = random_definite(random.Random(draw(st.integers(0, 2**32))), rank)
+    coset = None
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 6))
+        num = [draw(st.integers(-(den // 2), den // 2)) for _ in range(rank)]
+        coset = DualVector.from_scaled(lattice, num, den)
+    extra = Fraction(draw(st.integers(0, SLOW_PATH_MAX_NORM * 36)), 36)
+    return lattice, coset, extra
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattices_with_shifts())
+def test_flat_traversal_matches_recursive_slow_path(case):
+    lattice, coset, extra = case
+    zero = DualVector.from_scaled(lattice, (0,) * lattice.rank)
+    base = zero if coset is None else coset
+    norms = {extra, base.norm()}
+    for i in range(lattice.rank):
+        for sign in (1, -1):
+            unit = DualVector.from_scaled(lattice, (sign * (j == i) for j in range(lattice.rank)))
+            norms.add((base + unit).norm())
+    for norm in sorted(n for n in norms if n <= SLOW_PATH_MAX_NORM):
+        assert_matches_slow_path(lattice, norm, coset)
+
+
+def test_slow_path_fixed_cases():
+    d = 2 * 10**40
+    big = build_named_lattice("rank1", d)
+    assert assert_matches_slow_path(big, 9 * d) == [(-3,), (3,)]
+    half = DualVector(big, [Fraction(1, 2)])
+    assert assert_matches_slow_path(big, Fraction(25, 4) * d, half) == [(-5,), (5,)]
+    a2 = build_named_lattice("A2")
+    assert assert_matches_slow_path(a2, 0) == [(0, 0)]
+    assert assert_matches_slow_path(a2, 0, discriminant_group(a2).lift((1,))) == []
+    assert assert_matches_slow_path(a2, 0, DualVector(a2, (1, -2))) == [(0, 0)]
+    # <x + 1/2, x + 1/2> = 2 in <2>: the leaf finds t^2 = budget / k, a square,
+    # but t - centre is not a multiple of the step, so nothing is yielded
+    line = build_named_lattice("rank1", 2)
+    assert assert_matches_slow_path(line, 2, DualVector(line, [Fraction(1, 2)])) == []
+    assert assert_matches_slow_path(line, Fraction(9, 2), DualVector(line, [Fraction(1, 2)])) == [(-3,), (3,)]
+    e8 = build_named_lattice("E8")
+    for norm in (2, 4, 6, 8):
+        assert_matches_slow_path(e8, norm)

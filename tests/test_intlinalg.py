@@ -185,5 +185,9 @@ def test_non_integer_entries_are_refused():
         hermite_row_basis([[1.5, 2]])
     with pytest.raises(ValueError, match="entry must be an integer, got 1/2"):
         smith_normal_form([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match=r"entry must be an integer, got True \(bool\)"):
+        smith_normal_form([[True]])
+    with pytest.raises(ValueError, match="entry must be an integer, got 0.5"):
+        kernel_basis([[0.5, 1]])
     assert elementary_divisors([[2.0, 0], [0, 3]]) == [6]
     assert hermite_row_basis([[Fraction(2), 4.0]]) == [[2, 4]]
