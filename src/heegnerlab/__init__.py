@@ -37,7 +37,6 @@ from .cycles import (
     gm_labelling_gram,
     gm_residue_vector,
     hk_heegner_index,
-    moment_matrix,
 )
 from .arith import factorize, is_squarefree, num_divisors, omega, sigma_power
 from .bounds import (
@@ -71,7 +70,7 @@ __all__ = [
     "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex",
     "LabellingWitness", "MomentMatrix", "cubic_heegner_index", "embed_k3_lattice",
     "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector",
-    "hk_heegner_index", "moment_matrix",
+    "hk_heegner_index",
     "factorize", "is_squarefree", "num_divisors", "omega", "sigma_power",
     "AdmissibilityReport", "BoundCertificate", "CaseResult", "admissibility_report",
     "case_a", "case_b", "case_c", "cubic_map_degree", "divisor_bound_check",

@@ -2,7 +2,7 @@
 
 Single-value functions are exact for inputs up to 10^12; bulk range checks
 go through `multiplicative_sieve`, one exact sieve for any multiplicative
-function given on prime powers, in Python ints.
+function given on prime powers, in Python ints, up to a limit of 10^7.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ from typing import Callable
 from .intlinalg import checked_int
 
 TRIAL_DIVISION_BOUND = 10**12
-
-
-def _check_limit(limit: int) -> None:
-    if limit < 0:
-        raise ValueError(f"sieve limit must be nonnegative, got {limit}")
+SIEVE_CAP = 10**7  # the list-based sieve holds about 100 bytes per entry
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division."""
-    n = checked_int(n, "n")
-    if n < 1:
-        raise ValueError(f"factorization needs a positive integer, got {n}")
+    n = checked_int(n, "n", 1)
     if n > TRIAL_DIVISION_BOUND:
         raise ValueError(f"input {n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
     factors: dict[int, int] = {}
@@ -58,8 +52,7 @@ def num_divisors(n: int) -> int:
 
 def sigma_power(s: int, m: int) -> int:
     """Divisor power sum: sum of d^s over divisors d of m."""
-    if s < 0:
-        raise ValueError(f"exponent must be nonnegative, got {s}")
+    s = checked_int(s, "exponent", 0)
     out = 1
     for p, a in factorize(m).items():
         out *= sum(p ** (s * k) for k in range(a + 1))
@@ -77,7 +70,9 @@ def multiplicative_sieve(limit: int, at_prime_power: Callable[[int, int, int], i
     Linear time: a smallest-prime-factor table, then the multiplicative
     recurrence, so only prime powers call `at_prime_power`.
     """
-    _check_limit(limit)
+    limit = checked_int(limit, "sieve limit", 0)
+    if limit > SIEVE_CAP:
+        raise ValueError(f"sieve limit {limit} exceeds the cap {SIEVE_CAP}")
     spf = list(range(limit + 1))
     # descending, so the smallest prime factor writes last
     for p in range(math.isqrt(limit), 1, -1):
@@ -98,6 +93,5 @@ def multiplicative_sieve(limit: int, at_prime_power: Callable[[int, int, int], i
 
 def divisor_sigma_sieve(limit: int, power: int) -> list[int]:
     """sigma_power(power, n) for n = 0..limit, as exact Python ints."""
-    if power < 0:
-        raise ValueError(f"exponent must be nonnegative, got {power}")
+    power = checked_int(power, "exponent", 0)
     return multiplicative_sieve(limit, lambda prev, pk, p: prev + pk**power)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import divisor_sigma_sieve, factorize, multiplicative_sieve, omega
-from .intlinalg import checked_int
+from .intlinalg import checked_even, checked_int, checked_row, checked_rows
+from .lattices import build_named_lattice
 from .cycles import (
     HeegnerIndex,
     cubic_heegner_index,
@@ -41,17 +42,10 @@ class CaseResult:
         return {"pass": self.ok, "reason": self.reason, "in_theorem_range": self.in_theorem_range}
 
 
-def _check_even(d: int) -> int:
-    d = checked_int(d, "d")
-    if d % 2 != 0:
-        raise ValueError(f"d must be even, got {d}")
-    return d
-
-
 def case_a(d: int) -> CaseResult:
     """Cubic-fourfold admissibility: residue 0 or 2 mod 6; no factor 4, 9,
     or odd prime p = 2 (mod 3).  The first violated clause is named."""
-    d = _check_even(d)
+    d = checked_even(d, "d", 2)
     in_range = d >= THEOREM_RANGE_MIN_D
     r = d % 6
     if r not in (0, 2):
@@ -68,7 +62,7 @@ def case_a(d: int) -> CaseResult:
 
 def case_b(d: int) -> CaseResult:
     """Gushel-Mukai admissibility: residue 2 or 4 mod 8; no prime p = 3 (mod 4)."""
-    d = _check_even(d)
+    d = checked_even(d, "d", 2)
     in_range = d >= THEOREM_RANGE_MIN_D
     r = d % 8
     if r not in (2, 4):
@@ -81,12 +75,7 @@ def case_b(d: int) -> CaseResult:
 
 def case_c(d: int, n_max: int) -> list[tuple[int, int]]:
     """Square witnesses: all n in [1, min(n_max, d/2)] with d/2 - n a square."""
-    d = _check_even(d)
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    n_max = checked_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    d, n_max = checked_even(d, "d", 2), checked_int(n_max, "n_max", 1)
     out = []
     m = 0
     while True:
@@ -114,9 +103,7 @@ def fm_partner_count(g: int) -> int:
     The printed exponent is negative at omega(g-1) = 0 (g = 2); a surface is
     always its own partner, so the exponent is clamped at zero.
     """
-    g = checked_int(g, "g")
-    if g < 2:
-        raise ValueError(f"g must be at least 2, got {g}")
+    g = checked_int(g, "g", 2)
     return 2 ** max(omega(g - 1) - 1, 0)
 
 
@@ -128,6 +115,17 @@ def zeta_partial_sum(s: int, terms: int) -> Fraction:
 def zeta_tail_bound(s: int, terms: int) -> Fraction:
     """Integral-test bound for the tail sum beyond `terms`."""
     return Fraction(1, (s - 1) * terms ** (s - 1))
+
+
+def _checked_range(pair, name: str) -> tuple[int, int]:
+    """(lo, hi) as ints with 1 <= lo <= hi; ValueError naming `name` otherwise."""
+    row = checked_row(pair, name)
+    if len(row) != 2:
+        raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}")
+    lo, hi = (checked_int(x, f"{name} bound") for x in row)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -168,12 +166,7 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
     it decides every m (always possible, because the divisor sum of m is
     dominated by the partial sum with m terms).
     """
-    k = checked_int(k, "k")
-    if k < 3:
-        raise ValueError(f"weight must be at least 3, got {k}")
-    m_lo, m_hi = (checked_int(x, "m_range bound") for x in m_range)
-    if not (1 <= m_lo <= m_hi):
-        raise ValueError(f"bad range [{m_lo}, {m_hi}]")
+    k, (m_lo, m_hi) = checked_int(k, "k", 3), _checked_range(m_range, "m_range")
     s = k - 1
     sigma = divisor_sigma_sieve(m_hi, s)
     failures = []
@@ -231,9 +224,7 @@ class DivisorBoundReport:
 
 def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4) -> DivisorBoundReport:
     """Verify 2^omega(n) <= d(n) on a range, with squarefree equality."""
-    lo, hi = (checked_int(x, "n_range bound") for x in n_range)
-    if not (1 <= lo <= hi):
-        raise ValueError(f"bad range [{lo}, {hi}]")
+    lo, hi = _checked_range(n_range, "n_range")
     two_omega = multiplicative_sieve(hi, lambda prev, pk, p: 2)
     dc = divisor_sigma_sieve(hi, 0)
     bad = [n for n in range(lo, hi + 1) if two_omega[n] > dc[n]]
@@ -251,8 +242,7 @@ def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4)
 
 def heegner_irr_exponent(m: int) -> int:
     """Irrationality growth exponent m/2 for divisor-route families."""
-    if m % 2 != 0:
-        raise ValueError(f"m must be even, got {m}")
+    m = checked_even(m, "m")
     if m < 4:
         raise ValueError(f"the divisor route requires m >= 4, got {m}")
     return m // 2
@@ -263,8 +253,7 @@ def kudla_irr_exponent(m: int) -> int:
 
     The codimension hypothesis 1 <= r <= m - 2 is tracked by the caller.
     """
-    if m % 2 != 0:
-        raise ValueError(f"m must be even, got {m}")
+    m = checked_even(m, "m")
     if m < 4:
         raise ValueError(f"the cycle route requires m >= 4 so that some 1 <= r <= m-2 exists, got {m}")
     return 1 + m // 2
@@ -279,12 +268,12 @@ def growth_exponent_estimate(series: Sequence[tuple]) -> float:
     import numpy as np
 
     pts = []
-    for row in series:
-        if not isinstance(row, (tuple, list)) or len(row) != 2:
+    for row in checked_rows(series, "series"):
+        if len(row) != 2:
             raise ValueError(f"each series row must be an (index, value) pair, got {row!r}")
         try:
             i, v = float(row[0]), float(row[1])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"series row {row!r} is not a pair of numbers") from exc
         if not (math.isfinite(i) and i > 0 and math.isfinite(v) and v >= 0):
             raise ValueError(f"series row {row!r} needs a positive finite index and a nonnegative finite value")
@@ -326,13 +315,8 @@ class AdmissibilityReport:
 
 
 def admissibility_report(d: int, n_max: int = 10) -> AdmissibilityReport:
-    d = _check_even(d)
-    return AdmissibilityReport(
-        d=d,
-        case_a=case_a(d),
-        case_b=case_b(d),
-        case_c_witnesses=tuple(case_c(d, n_max)),  # raises for d < 2
-    )
+    d = checked_even(d, "d", 2)
+    return AdmissibilityReport(d, case_a(d), case_b(d), tuple(case_c(d, n_max)))
 
 
 @dataclass(frozen=True)
@@ -377,26 +361,26 @@ class BoundCertificate:
 def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
     """Assemble every applicable bound route for genus g.
 
-    Routes A, B, and C(n) carry exponent 10 and are read off the
-    admissibility report of d = 2g - 2, in the theorem range d >= 8 only;
-    each C(n) is a square witness (n, m) of case C indexed by the
-    split-polarization hyperkaehler family of degree 2n, so its constant
-    depends on n.  The uniform route always applies, with exponent 14 and
-    multiplier 2^omega(g-1), witnessed by the rank-7 moment matrix with
-    determinant d / 2^7.
+    Routes A, B, and C(n) carry the divisor-route exponent of Lambda_C
+    (m = 20, so 10) and are read off the admissibility report of d = 2g - 2,
+    in the theorem range d >= 8 only; each C(n) is a square witness (n, m) of
+    case C indexed by the split-polarization hyperkaehler family of degree
+    2n, so its constant depends on n.  The uniform route always applies, with
+    the cycle exponent of Lambda_sharp (m = 26, so 14) and multiplier
+    2^omega(g-1), witnessed by the rank-7 moment matrix with determinant d / 2^7.
     """
-    g = checked_int(g, "g")
-    if g < 2:
-        raise ValueError(f"g must be at least 2, got {g}")
+    g = checked_int(g, "g", 2)
     d = 2 * g - 2
     report = admissibility_report(d, n_max)
+    heegner = heegner_irr_exponent(build_named_lattice("Lambda_C").signature[0])
+    kudla = kudla_irr_exponent(build_named_lattice("Lambda_sharp").signature[0])
     routes: list[Route] = []
     if d >= THEOREM_RANGE_MIN_D:
         if report.case_a:
             routes.append(
                 Route(
                     route="A",
-                    exponent=10,
+                    exponent=heegner,
                     multiplier=cubic_map_degree(d),
                     constant="C",
                     indices=(cubic_heegner_index(d),),
@@ -407,7 +391,7 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
             routes.append(
                 Route(
                     route="B",
-                    exponent=10,
+                    exponent=heegner,
                     multiplier=1,
                     constant="C",
                     indices=gm_heegner_index(d),
@@ -419,7 +403,7 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
             routes.append(
                 Route(
                     route=f"C({n})",
-                    exponent=10,
+                    exponent=heegner,
                     multiplier=1,
                     constant=f"C_{n}",
                     indices=(
@@ -433,7 +417,7 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
     routes.append(
         Route(
             route="uniform",
-            exponent=14,
+            exponent=kudla,
             multiplier=2 ** omega(g - 1),
             constant="C",
             indices=(f"det(T) = {witness.det_lhs}",),

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 from .enumeration import first_primitive_vector
-from .intlinalg import checked_int, symmetric_invariants
+from .intlinalg import checked_even, checked_int, checked_rows, symmetric_invariants
 from .lattices import (
-    CACHE_SIZE, DualVector, build_named_lattice, gram_determinant, named_lattice, orthogonal_complement,
+    CACHE_SIZE, build_named_lattice, gram_determinant, named_lattice, orthogonal_complement,
 )
 from .discriminant import discriminant_group
 
@@ -68,6 +68,7 @@ class MomentMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        checked_rows(self.entries, "entries")
         self._invariants  # raises ValueError unless square and symmetric
 
     @functools.cached_property
@@ -186,9 +187,7 @@ class EmbeddingWitness:
 
 def cubic_heegner_index(d: int) -> HeegnerIndex:
     """Coset rule for the cubic-fourfold locus of discriminant d."""
-    d = checked_int(d, "d")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+    d = checked_int(d, "d", 1)
     r = d % 6
     if r not in (0, 2):
         raise ValueError(
@@ -207,9 +206,7 @@ def _gm_labellings(d: int) -> tuple[tuple[Gram, tuple[Fraction, ...], str], ...]
     both for e*+f*, on neither for 0.  d = 0 or 4 (mod 8) has one orbit,
     d = 2 (mod 8) two.
     """
-    d = checked_int(d, "d")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+    d = checked_int(d, "d", 1)
     r = d % 8
     half, zero, one = Fraction(-1, 2), Fraction(0), Fraction(1)
     if r == 0:
@@ -280,17 +277,8 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
     lattice: N = 4n for split polarization (delta 1) and N = n for delta 2.
     gamma ranges over the whole discriminant group.
     """
-    n, delta, d = checked_int(n, "n"), checked_int(delta, "delta"), checked_int(d, "d")
-    if delta not in (1, 2):
-        raise ValueError(f"delta must be 1 or 2, got {delta}")
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if delta == 2 and n % 4 != 3:
-        raise ValueError(f"delta=2 requires n = 3 (mod 4), got n = {n}")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    if d % 2 != 0:
-        raise ValueError(f"d must be even so the index d/(2N) lies in (1/N)Z, got {d}")
+    n, delta, d = checked_int(n, "n"), checked_int(delta, "delta"), checked_even(d)
+    lattice = build_named_lattice("Lambda_HK_prim", n, delta)  # refuses n <= 0 and a bad delta
     big_n = 4 * n if delta == 1 else n
     return HKIndexFamily(
         index=Fraction(d, 2 * big_n),
@@ -299,23 +287,8 @@ def hk_heegner_index(n: int, delta: int, d: int) -> HKIndexFamily:
         d=d,
         disc=big_n,
         norm_vv=Fraction(d, big_n),
-        lattice_tag=build_named_lattice("Lambda_HK_prim", n, delta).name,
+        lattice_tag=lattice.name,
     )
-
-
-def moment_matrix(vectors: Sequence[DualVector]) -> MomentMatrix:
-    """Half-Gram matrix of a tuple of vectors from one ambient lattice."""
-    vectors = list(vectors)
-    if not all(isinstance(v, DualVector) for v in vectors):
-        raise ValueError(f"vectors must be DualVectors, got {vectors!r}")
-    if vectors:
-        ambient = vectors[0].lattice
-        if any(v.lattice != ambient for v in vectors[1:]):
-            raise ValueError("moment matrix requires vectors from a single ambient lattice")
-    entries = tuple(
-        tuple(vi.pairing(vj) / 2 for vj in vectors) for vi in vectors
-    )
-    return MomentMatrix(entries=entries)
 
 
 # The image rows of E8 + E8 + U + U, which map identically onto Lambda_sharp.
@@ -336,9 +309,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
     read from the integer elimination the complement already ran and checked
     against d / 2^7 (Nikulin: disc of w-perp is w.w = d).
     """
-    d = checked_int(d, "d")
-    if d <= 0 or d % 2 != 0:
-        raise ValueError(f"d must be a positive even integer for an even lattice, got {d}")
+    d = checked_even(d)
     e8 = build_named_lattice("E8")
     w = first_primitive_vector(e8, d)
     if w is None:

@@ -23,7 +23,7 @@ from operator import index
 from typing import Iterator, Sequence
 
 from .intlinalg import checked_int, identity, mat_vec, smith_normal_form
-from .lattices import DualVector, IntegerLattice, gram_determinant
+from .lattices import DualVector, IntegerLattice, checked_lattice, gram_determinant
 
 Element = tuple[int, ...]
 
@@ -105,7 +105,7 @@ class DiscriminantGroup:
         for ri, v in zip(self.reduce(elem), self._scaled):
             if ri:
                 num = [x + ri * y for x, y in zip(num, v)]
-        return DualVector.from_scaled(self.lattice, num, self._lift_den)
+        return DualVector._reduced(self.lattice, num, self._lift_den)
 
     def element_of(self, v: DualVector) -> Element:
         """Class of a dual vector in the group."""
@@ -155,9 +155,7 @@ class DiscriminantGroup:
 
 def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> DiscriminantGroup:
     """Compute D(M) with generator lifts via Smith normal form of the Gram."""
-    if not isinstance(lattice, IntegerLattice):
-        raise ValueError(f"lattice must be an IntegerLattice, got {lattice!r}")
-    det = gram_determinant(lattice)
+    det = gram_determinant(checked_lattice(lattice))
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
     order = abs(det)

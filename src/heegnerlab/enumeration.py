@@ -28,7 +28,8 @@ from numbers import Rational
 from operator import mul
 from typing import Iterator, Sequence
 
-from .lattices import CACHE_SIZE, DualVector, IntegerLattice
+from .intlinalg import checked_int
+from .lattices import CACHE_SIZE, DualVector, IntegerLattice, checked_lattice
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -58,7 +59,8 @@ def _decompose(lattice: IntegerLattice) -> tuple[tuple[int, ...], ...]:
 
 
 def _exact_norm(norm) -> Fraction:
-    if isinstance(norm, Rational) or (isinstance(norm, float) and isfinite(norm)):
+    exact = isinstance(norm, Rational) or (isinstance(norm, float) and isfinite(norm))
+    if exact and not isinstance(norm, bool):  # a bool is refused, as by checked_int
         return Fraction(norm)
     raise ValueError(f"norm must be a rational number or a finite float, got {norm!r}")
 
@@ -81,9 +83,7 @@ def lex_stream(
     q = budget / k, and x = (t - centre) / step only where that divides
     exactly.  So solutions come out in ascending lexicographic order.
     """
-    if not isinstance(lattice, IntegerLattice):
-        raise ValueError(f"lattice must be an IntegerLattice, got {lattice!r}")
-    rows = _decompose(lattice)
+    rows = _decompose(checked_lattice(lattice))
     target = _exact_norm(norm)
     if target < 0:
         raise ValueError("norm must be nonnegative in a positive definite lattice")
@@ -95,9 +95,7 @@ def lex_stream(
     if num is None:
         num, den = (0,) * n, 1
     else:
-        lattice.check_length(num)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
+        num, den = lattice.checked_vector(num), checked_int(den, "denominator", 1)
     pivots = [row[-1] for row in rows]
     minors = [p * a for p, a in zip(pivots, pivots[1:] + [1])]
     scale = lcm(*minors)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -28,19 +29,58 @@ def is_symmetric(mat) -> bool:
     )
 
 
-def checked_int(x, name: str = "entry") -> int:
-    """x as an int; ValueError naming `name` and x unless x is an integer.
+def checked_int(x, name: str = "entry", minimum: int | None = None) -> int:
+    """x as an int; ValueError naming `name` and x unless x is an integer,
+    and, when a minimum is given, unless x >= minimum.
 
     A bool is refused although it compares equal to 0 or 1: a flag passed
     where a count is meant is a caller's error.
     """
-    if not isinstance(x, bool):
+    if type(x) is not int:
         try:
-            if int(x) == x:
-                return int(x)
+            ok = not isinstance(x, bool) and int(x) == x
         except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer, got {x} ({type(x).__name__})")
+        x = int(x)
+    if minimum is not None and x < minimum:
+        bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise ValueError(f"{name} must be {bound}, got {x}")
+    return x
+
+
+def checked_even(x, name: str = "d", minimum: int = 1) -> int:
+    """x as an even int >= minimum (positive by default); ValueError naming `name` otherwise."""
+    x = checked_int(x, name, minimum)
+    if x % 2:
+        raise ValueError(f"{name} must be even, got {x}")
+    return x
+
+
+def _listed(x, name: str, of: str) -> list:
+    """list(x); ValueError naming `name` for a non-iterable, a str or a bytes,
+    which would iterate as characters or byte values."""
+    if not isinstance(x, (str, bytes)):
+        try:
+            return list(x)
+        except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {x} ({type(x).__name__})")
+    raise ValueError(f"{name} must be a sequence of {of}, got {x!r}")
+
+
+def checked_row(x, name: str = "vector") -> list:
+    """x as a list of rationals (ints, Fractions, floats); ValueError naming `name` otherwise."""
+    row = _listed(x, name, "numbers")
+    for e in row:  # the type test spares the common types the slower ABC check
+        if type(e) not in (int, Fraction, float) and not isinstance(e, (Rational, float)):
+            raise ValueError(f"{name} entry must be a rational number, got {e} ({type(e).__name__})")
+    return row
+
+
+def checked_rows(x, name: str = "matrix") -> list[list]:
+    """x as a list of checked_row lists; ValueError naming `name` otherwise."""
+    return [checked_row(r, f"{name} row") for r in _listed(x, name, "rows")]
 
 
 def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
@@ -98,7 +138,7 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     U and V are unimodular; S is diagonal with nonnegative entries satisfying
     the divisibility chain S[0][0] | S[1][1] | ...
     """
-    return _smith_normal_form([[checked_int(x) for x in row] for row in mat])
+    return _smith_normal_form([[checked_int(x) for x in row] for row in checked_rows(mat)])
 
 
 def _smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -187,11 +227,12 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     basis spans a primitive sublattice.  Rows of the result are canonicalized
     via Hermite normal form.
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
+    a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
+    n = len(a)
+    m = len(a[0]) if n else 0
     if n == 0:
         return identity(m)
-    s, _, v = _smith_normal_form([[checked_int(x) for x in row] for row in mat])
+    s, _, v = _smith_normal_form(a)
     r = sum(1 for i in range(min(n, m)) if s[i][i] != 0)
     cols = [[v[row][j] for row in range(m)] for j in range(r, m)]
     return _hermite_row_basis(cols)
@@ -203,7 +244,7 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Pivots are positive, entries above a pivot are reduced to [0, pivot),
     and zero rows are dropped.
     """
-    return _hermite_row_basis([list(map(checked_int, r)) for r in rows])
+    return _hermite_row_basis([list(map(checked_int, r)) for r in checked_rows(rows)])
 
 
 def _hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:

@@ -11,11 +11,13 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    checked_even,
     checked_int,
+    checked_row,
+    checked_rows,
     identity,
     kernel_basis,
     mat_vec,
@@ -39,16 +41,17 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def check_length(self, v: Sequence) -> None:
-        """Raise ValueError unless `v` has one coordinate per basis vector."""
-        if len(v) != self.rank:
-            raise ValueError(f"vector of length {len(v)} in a lattice of rank {self.rank}")
+    def checked_vector(self, v, name: str = "vector") -> IntVector:
+        """v as a tuple of ints, one per basis vector; ValueError naming `name` otherwise."""
+        row = checked_row(v, name)
+        if len(row) != self.rank:
+            raise ValueError(f"{name} of length {len(row)} in a lattice of rank {self.rank}")
+        return tuple(x if type(x) is int else checked_int(x, f"{name} entry") for x in row)
 
-    def pairing(self, u: Sequence, v: Sequence) -> Fraction:
-        """Intersection pairing of two vectors in basis coordinates."""
-        self.check_length(u)
-        self.check_length(v)
-        return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, list(v)))))
+    def pairing(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
+        """Intersection pairing of two lattice vectors in basis coordinates."""
+        u, v = self.checked_vector(u), self.checked_vector(v)
+        return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, v))))
 
     def to_jsonable(self) -> dict:
         doc = {}
@@ -57,6 +60,13 @@ class IntegerLattice:
         doc["gram"] = [list(row) for row in self.gram]
         doc["signature"] = list(self.signature)
         return doc
+
+
+def checked_lattice(x, name: str = "lattice") -> IntegerLattice:
+    """x itself; ValueError naming `name` unless x is an IntegerLattice."""
+    if not isinstance(x, IntegerLattice):
+        raise ValueError(f"{name} must be an IntegerLattice, got {x!r}")
+    return x
 
 
 # Integral coordinates share these Fractions, so reading `.coords` of a
@@ -85,23 +95,25 @@ class DualVector:
     den: int
 
     def __init__(self, lattice: IntegerLattice, coords: Iterable) -> None:
-        coords = tuple(coords)
-        if not all(isinstance(x, Rational) for x in coords):
-            raise TypeError(f"dual vector coordinates must be integers or Fractions, got {coords}")
+        coords = checked_row(coords, "dual vector coordinates")
+        if any(isinstance(x, float) for x in coords):  # checked_row admits floats
+            raise ValueError(f"dual vector coordinates must be integers or Fractions, got {tuple(coords)}")
         den = lcm(*(int(x.denominator) for x in coords))
-        num = tuple(int(x.numerator) * (den // int(x.denominator)) for x in coords)
-        lattice.check_length(num)
+        num = (int(x.numerator) * (den // int(x.denominator)) for x in coords)
+        _set_num(self, checked_lattice(lattice).checked_vector(num))
         _set_lattice(self, lattice)
-        _set_num(self, num)
         _set_den(self, den)
 
     @classmethod
     def from_scaled(cls, lattice: IntegerLattice, num: Iterable[int], den: int = 1) -> "DualVector":
         """The vector num / den, for integer numerators and a positive den."""
+        num = checked_lattice(lattice).checked_vector(num, "num")
+        return cls._reduced(lattice, num, checked_int(den, "denominator", 1))
+
+    @classmethod
+    def _reduced(cls, lattice: IntegerLattice, num: Iterable[int], den: int) -> "DualVector":
+        """Trusted constructor of num / den, for integers num (one per basis vector) and den > 0."""
         num = tuple(num)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        lattice.check_length(num)
         g = gcd(den, *num)
         if g > 1:
             num, den = tuple(x // g for x in num), den // g
@@ -148,10 +160,10 @@ class DualVector:
         other.check_lattice(self.lattice)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        return DualVector.from_scaled(self.lattice, (a * x + b * y for x, y in zip(self.num, other.num)), den)
+        return DualVector._reduced(self.lattice, (a * x + b * y for x, y in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "DualVector":
-        return DualVector.from_scaled(self.lattice, (-x for x in self.num), self.den)
+        return DualVector._of(self.lattice, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other: "DualVector") -> "DualVector":
         return self + -other
@@ -165,7 +177,7 @@ _set_lattice, _set_num, _set_den = (DualVector.__dict__[f].__set__ for f in ("la
 
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:
     """Build a lattice from an integer Gram matrix, validating evenness."""
-    rows = tuple(tuple(map(checked_int, row)) for row in gram)
+    rows = tuple(tuple(map(checked_int, row)) for row in checked_rows(gram, "gram"))
     p, q, z, _ = symmetric_invariants(rows)
     for i, row in enumerate(rows):
         if row[i] % 2 != 0:
@@ -217,7 +229,6 @@ NAMED_LATTICES = {
 CACHE_SIZE = 32
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     """Construct one of the standard lattices by name.
 
@@ -227,14 +238,19 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     out block-diagonally in the conventional order.  Block signatures add,
     so composite builds skip the full symmetric elimination.
     """
-    if name not in NAMED_LATTICES:
+    takes = NAMED_LATTICES.get(name) if isinstance(name, str) else None
+    if takes is None:
         raise ValueError(f"unknown lattice name {name!r}; expected one of {', '.join(NAMED_LATTICES)}")
-    takes = NAMED_LATTICES[name]
     if not takes and params:
         raise ValueError(f"{name} takes no parameters")
     if len(params) != len(takes):
         raise ValueError(f"{name} requires {len(takes)} integer parameter(s), got {len(params)}")
-    params = tuple(map(checked_int, params, takes))
+    return _build(name, *map(checked_int, params, takes))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _build(name: str, *params: int) -> IntegerLattice:
+    """build_named_lattice for a known name and checked integer parameters."""
     tag = f"{name}({','.join(map(str, params))})" if params else name
     if name in _FIXED_BLOCKS:
         return _assemble(tag, _FIXED_BLOCKS[name])
@@ -251,14 +267,14 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
         else:
             raise ValueError("delta must be 1 or 2")
         return _assemble(tag, [U_GRAM, U_GRAM, E8_GRAM, E8_GRAM, tail])
-    (d,) = params
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    if d % 2 != 0:
-        raise ValueError(f"d must be even for an even lattice, got {d}")
+    d = checked_even(params[0])
     if name == "rank1":
         return make_lattice(((d,),), name=tag)
     return _assemble(tag, [E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, ((d,),)])
+
+
+# The cache sits behind the argument checks; its handles stay on the public name.
+build_named_lattice.cache_info, build_named_lattice.cache_clear = _build.cache_info, _build.cache_clear
 
 
 def named_lattice(tag: str) -> IntegerLattice:
@@ -267,6 +283,8 @@ def named_lattice(tag: str) -> IntegerLattice:
     Raises ValueError for any string that is not exactly a built lattice's
     tag, such as ``Lambda_d( 14)``, ``Lambda_d(014)`` or ``E8()``.
     """
+    if not isinstance(tag, str):
+        raise ValueError(f"lattice tag must be a string, got {tag!r}")
     name, paren, inside = tag.partition("(")
     params = inside.removesuffix(")").split(",") if paren else ()
     if not all(p.isdecimal() for p in params):
@@ -283,7 +301,7 @@ def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
     """Block-diagonal sum, in argument order; signatures add."""
-    size = sum(l.rank for l in lattices)
+    size = sum(checked_lattice(l).rank for l in lattices)
     gram, offset = [], 0
     for l in lattices:
         gram += [(0,) * offset + tuple(row) + (0,) * (size - offset - l.rank) for row in l.gram]
@@ -295,7 +313,7 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
 
 def twist(lattice: IntegerLattice) -> IntegerLattice:
     """Twist by (-1): negate the pairing, swapping the signature."""
-    gram = tuple(tuple(-x for x in row) for row in lattice.gram)
+    gram = tuple(tuple(-x for x in row) for row in checked_lattice(lattice).gram)
     p, q = lattice.signature
     return IntegerLattice(gram=gram, signature=(q, p))
 
@@ -306,9 +324,8 @@ def _gram_invariants(gram: Gram) -> tuple[int, int, int, int]:
     return symmetric_invariants(gram)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def gram_determinant(lattice: IntegerLattice) -> int:
-    return _gram_invariants(lattice.gram)[3]
+    return _gram_invariants(checked_lattice(lattice).gram)[3]
 
 
 def disc(lattice: IntegerLattice) -> int:
@@ -322,7 +339,7 @@ def dual_basis(lattice: IntegerLattice) -> list[DualVector]:
     With S = U G V the Smith form, G^-1 = V S^-1 U; over the largest
     invariant factor L, row i is sum_k V[i][k] (L / s_k) U[k].
     """
-    s, u, v = smith_normal_form(lattice.gram)
+    s, u, v = smith_normal_form(checked_lattice(lattice).gram)
     diag = [s[k][k] for k in range(lattice.rank)]
     den = lcm(*diag)
     if den == 0:
@@ -333,8 +350,7 @@ def dual_basis(lattice: IntegerLattice) -> list[DualVector]:
 
 def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
     """A nonzero lattice vector is primitive iff its coordinate gcd is 1."""
-    lattice.check_length(v)
-    coords = [checked_int(x) for x in v]
+    coords = checked_lattice(lattice).checked_vector(v)
     if not any(coords):
         raise ValueError("the zero vector is not primitive nor imprimitive")
     return gcd(*coords) == 1
@@ -351,13 +367,8 @@ def orthogonal_complement(
     whose induced Gram is degenerate (possible in an indefinite lattice) is
     not a lattice here, so it raises ValueError naming the nullity.
     """
-    try:
-        vecs = [list(v) for v in vectors]
-    except TypeError:
-        raise ValueError(f"vectors must be a sequence of integer vectors, got {vectors!r}") from None
-    for v in vecs:
-        lattice.check_length(v)
-    vecs = [[checked_int(x) for x in v] for v in vecs]
+    check = checked_lattice(lattice).checked_vector
+    vecs = [check(v) for v in checked_rows(vectors, "vectors")]
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]

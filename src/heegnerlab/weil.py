@@ -19,7 +19,7 @@ from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
 from .discriminant import DiscriminantGroup
-from .intlinalg import checked_int
+from .intlinalg import checked_even
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,12 +58,7 @@ class WeilRepresentation:
 
 def weight_of(m: int) -> int:
     """Modular weight 1 + m/2 attached to positive-inertia count m."""
-    m = checked_int(m, "m")
-    if m % 2 != 0:
-        raise ValueError(f"m must be even, got {m}")
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    return 1 + m // 2
+    return 1 + checked_even(m, "m", 2) // 2
 
 
 def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
@@ -74,9 +69,10 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     """
     import numpy as np
 
-    m = checked_int(m, "m")
-    if m % 2 != 0 or m <= 0:
-        raise ValueError(f"m must be an even positive integer, got {m}")
+    if not isinstance(group, DiscriminantGroup):
+        raise ValueError(f"group must be a DiscriminantGroup, got {group!r}")
+    weight = weight_of(m)  # refuses any m but an even integer >= 2
+    m = int(m)
     dim = group.order
     if dim > DIM_CAP:
         raise ValueError(f"discriminant group order {dim} exceeds the dimension cap {DIM_CAP}")
@@ -95,7 +91,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
         s_matrix=s,
         t_matrix=t,
         level=group.level,
-        weight=weight_of(m),
+        weight=weight,
     )
 
 
@@ -107,7 +103,9 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     """
     import numpy as np
 
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
+    if not isinstance(rep, WeilRepresentation):
+        raise ValueError(f"rep must be a WeilRepresentation, got {rep!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive and finite tolerance, got {tol!r}")
     s = rep.s_matrix
     t = rep.t_matrix
@@ -127,4 +125,6 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
 
 
 def relations_pass(checks: Sequence[RelationCheck]) -> bool:
+    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, RelationCheck) for c in checks):
+        raise ValueError(f"checks must be a list of RelationChecks, got {checks!r}")
     return all(c.passed for c in checks)

@@ -18,13 +18,12 @@ from heegnerlab.cycles import (
     gm_labelling_gram,
     gm_residue_vector,
     hk_heegner_index,
-    moment_matrix,
 )
 from heegnerlab.discriminant import discriminant_group
 from heegnerlab.intlinalg import elementary_divisors, identity
 from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, make_lattice, orthogonal_complement
 
-from conftest import bareiss_determinant, fraction_determinant, symmetric_signature
+from conftest import bareiss_determinant, fraction_determinant, moment_matrix, symmetric_signature
 
 
 def test_cubic_index_examples():

@@ -244,6 +244,11 @@ def test_shift_of_wrong_length_or_bad_denominator_rejected():
         list(lex_stream(a2, 2, (1,), 3))
     with pytest.raises(ValueError, match="denominator must be positive, got 0"):
         list(lex_stream(a2, 2, (1, 1), 0))
+    with pytest.raises(ValueError, match="vector entry must be an integer, got 0.5"):
+        list(lex_stream(a2, 2, (0.5, 1), 2))
+    for den in (1.5, True):
+        with pytest.raises(ValueError, match=f"denominator must be an integer, got {den}"):
+            list(lex_stream(a2, 2, (1, 1), den))
 
 
 def test_non_lattice_arguments_rejected():

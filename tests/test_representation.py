@@ -145,7 +145,7 @@ def test_constructor_rejects_bad_input():
     a2 = build_named_lattice("A2")
     with pytest.raises(ValueError, match="rank"):
         DualVector(a2, (1, 2, 3))
-    with pytest.raises(TypeError, match="integers or Fractions"):
+    with pytest.raises(ValueError, match="integers or Fractions"):
         DualVector(a2, (0.5, 1))
     with pytest.raises(ValueError, match="positive"):
         DualVector.from_scaled(a2, (1, 1), 0)
