@@ -74,16 +74,14 @@ def case_b(d: int) -> CaseResult:
 
 
 def case_c(d: int, n_max: int) -> list[tuple[int, int]]:
-    """Square witnesses: all n in [1, min(n_max, d/2)] with d/2 - n a square."""
+    """Square witnesses: all n in [1, min(n_max, d/2)] with d/2 - n = m^2, as
+    (n, m) in ascending m, walked from the least m with m^2 >= d/2 - n_max."""
     d, n_max = checked_even(d, "d", 2), checked_int(n_max, "n_max", 1)
+    half = d // 2
+    m = math.isqrt(half - n_max - 1) + 1 if half > n_max else 0
     out = []
-    m = 0
-    while True:
-        n = d // 2 - m * m
-        if n < 1:
-            break
-        if n <= n_max:
-            out.append((n, m))
+    while m * m < half:
+        out.append((half - m * m, m))
         m += 1
     return out
 
@@ -128,6 +126,11 @@ def _checked_range(pair, name: str) -> tuple[int, int]:
     return lo, hi
 
 
+# Bits of m^(k-1) in `sandwich_check`: the paper's largest weight, k = 14
+# (Lambda_sharp, signature (26, 2)), at the 24-bit sieve cap 10^7.
+SANDWICH_POWER_BITS = 13 * 24
+
+
 @dataclass(frozen=True)
 class SandwichReport:
     k: int
@@ -164,9 +167,12 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
     sum of zeta(k-1), which is a lower bound for the true value, so a pass
     here implies the true inequality.  The partial sum is lengthened until
     it decides every m (always possible, because the divisor sum of m is
-    dominated by the partial sum with m terms).
+    dominated by the partial sum with m terms).  A k with (k-1) times the
+    bit length of the range's top above SANDWICH_POWER_BITS is refused.
     """
     k, (m_lo, m_hi) = checked_int(k, "k", 3), _checked_range(m_range, "m_range")
+    if (k - 1) * m_hi.bit_length() > SANDWICH_POWER_BITS:
+        raise ValueError(f"k = {k} is too large: m^(k-1) up to m = {m_hi} passes {SANDWICH_POWER_BITS} bits")
     s = k - 1
     sigma = divisor_sigma_sieve(m_hi, s)
     failures = []

@@ -18,9 +18,7 @@ from typing import ClassVar
 
 from .enumeration import first_primitive_vector
 from .intlinalg import checked_even, checked_int, checked_rows, symmetric_invariants
-from .lattices import (
-    CACHE_SIZE, build_named_lattice, gram_determinant, named_lattice, orthogonal_complement,
-)
+from .lattices import CACHE_SIZE, build_named_lattice, named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
 Gram = tuple[tuple[int, ...], ...]
@@ -325,7 +323,7 @@ def embed_k3_lattice(d: int) -> EmbeddingWitness:
         image_basis=(*_IMAGE_UNITS, (0,) * 16 + tuple(w) + (0,) * 4),
         complement_basis=tuple(basis),
         complement_gram=complement.gram,
-        det_lhs=Fraction(gram_determinant(complement), 2**7),
+        det_lhs=Fraction(complement.det, 2**7),
         det_rhs=Fraction(d, 2**7),
         image_primitive=gcd(*w) == 1,
     )

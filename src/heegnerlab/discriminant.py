@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import index
 from typing import Iterator, Sequence
 
 from .intlinalg import checked_int, identity, mat_vec, smith_normal_form
-from .lattices import DualVector, IntegerLattice, checked_lattice, gram_determinant
+from .lattices import DualVector, IntegerLattice, checked_lattice
 
 Element = tuple[int, ...]
 
@@ -134,13 +134,14 @@ class DiscriminantGroup:
     def level(self) -> int:
         """Smallest N > 0 with N*q integral on the whole group.
 
-        By bilinearity the lcm of q-denominators over the generators and
-        their pairwise sums bounds every q-denominator, and each of those
-        denominators divides the level; hence the lcm equals the level.
+        N q(x) = N x^T P x / 2L^2 is an integer for every x exactly when
+        2L^2 | N P_ii and L^2 | N P_ij for i != j, so the level is the lcm
+        of 2L^2 / gcd(2L^2, P_ii) and L^2 / gcd(L^2, P_ij).
         """
         if self._level is None:
-            sums = (self.add(u, w) for u, w in itertools.combinations(self._units, 2))
-            self._level = lcm(*(self.q(e).denominator for e in (*self._units, *sums)))
+            m, pair = self._lift_den**2, self._pair
+            diagonal = (2 * m // gcd(2 * m, row[i]) for i, row in enumerate(pair))
+            self._level = lcm(*diagonal, *(m // gcd(m, x) for i, row in enumerate(pair) for x in row[:i]))
         return self._level
 
     def element_key(self, elem: Sequence[int]) -> str:
@@ -155,7 +156,7 @@ class DiscriminantGroup:
 
 def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> DiscriminantGroup:
     """Compute D(M) with generator lifts via Smith normal form of the Gram."""
-    det = gram_determinant(checked_lattice(lattice))
+    det = checked_lattice(lattice).det
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
     order = abs(det)

@@ -28,7 +28,7 @@ from numbers import Rational
 from operator import mul
 from typing import Iterator, Sequence
 
-from .intlinalg import checked_int
+from .intlinalg import _eliminate, checked_int
 from .lattices import CACHE_SIZE, DualVector, IntegerLattice, checked_lattice
 
 
@@ -37,25 +37,17 @@ def _decompose(lattice: IntegerLattice) -> tuple[tuple[int, ...], ...]:
     """Fraction-free LDL^T of the Gram matrix, eliminating from the last
     coordinate, once per lattice.
 
-    Row i is taken at its pivot step and cut after column i, so rows[i][i] is
-    the trailing principal minor M_i on coordinates i..n-1 (with M_n = 1) and
+    It is the symmetric elimination of `intlinalg` on the coordinate-reversed
+    Gram.  Row i is taken at its pivot step and cut after column i, so rows[i][i]
+    is the trailing principal minor M_i on coordinates i..n-1 (with M_n = 1) and
     Q(x) = sum_i (sum_{k<=i} rows[i][k] x_k)^2 / (M_i M_{i+1}).
     Raises unless every pivot is positive (Sylvester's criterion).
     """
     n = lattice.rank
-    a = [list(row) for row in lattice.gram]
-    prev = 1
-    for i in reversed(range(n)):
-        top = a[i]
-        d = top[i]
-        if d <= 0:
-            raise ValueError("enumeration requires definite lattice (positive definite Gram)")
-        for row in a[:i]:
-            f = row[i]
-            for j in range(i):
-                row[j] = (d * row[j] - f * top[j]) // prev
-        prev = d
-    return tuple(tuple(row[: i + 1]) for i, row in enumerate(a))
+    a = [list(row[::-1]) for row in reversed(lattice.gram)]
+    if _eliminate(a)[0] != n:
+        raise ValueError("enumeration requires definite lattice (positive definite Gram)")
+    return tuple(tuple(reversed(a[n - 1 - i][n - 1 - i :])) for i in range(n))
 
 
 def _exact_norm(norm) -> Fraction:

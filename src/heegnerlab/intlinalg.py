@@ -104,7 +104,15 @@ def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
         rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
         scale = lcm(*(x.denominator for row in rows for x in row))
         a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    active = list(range(n))
+    p, z, prev = _eliminate(a)
+    det = 0 if z else prev if scale == 1 else Fraction(prev, scale**n)
+    return p, n - z - p, z, det
+
+
+def _eliminate(a: list[list[int]]) -> tuple[int, int, int]:
+    """The elimination of symmetric_invariants on integer rows, in place:
+    returns (p, z, last pivot) and leaves each pivot row as at its pivot step."""
+    active = list(range(len(a)))
     p, prev = 0, 1
     while active:
         piv = next((i for i in active if a[i][i]), None)
@@ -127,9 +135,7 @@ def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
             for j in active:
                 row[j] = (d * row[j] - f * top[j]) // prev
         prev = d
-    z = len(active)
-    det = 0 if z else prev if scale == 1 else Fraction(prev, scale**n)
-    return p, n - z - p, z, det
+    return p, len(active), prev
 
 
 def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -138,11 +144,7 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     U and V are unimodular; S is diagonal with nonnegative entries satisfying
     the divisibility chain S[0][0] | S[1][1] | ...
     """
-    return _smith_normal_form([[checked_int(x) for x in row] for row in checked_rows(mat)])
-
-
-def _smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """smith_normal_form of integer rows, which it reduces in place."""
+    a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
     n = len(a)
     m = len(a[0]) if n else 0
     u = identity(n)
@@ -224,18 +226,16 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     """Basis of the integer (right) kernel {x : mat @ x = 0}.
 
     The kernel of an integer matrix is a saturated subgroup of Z^m, so the
-    basis spans a primitive sublattice.  Rows of the result are canonicalized
-    via Hermite normal form.
+    basis spans a primitive sublattice.  One row-HNF of the rows
+    (column j of mat, e_j) spans {(mat @ x, x)}; its rows whose mat part is
+    zero, with that part dropped, are the canonical HNF basis of the kernel
+    (Cohen, GTM 138, 2.4).
     """
     a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
     n = len(a)
     m = len(a[0]) if n else 0
-    if n == 0:
-        return identity(m)
-    s, _, v = _smith_normal_form(a)
-    r = sum(1 for i in range(min(n, m)) if s[i][i] != 0)
-    cols = [[v[row][j] for row in range(m)] for j in range(r, m)]
-    return _hermite_row_basis(cols)
+    rows = [[row[j] for row in a] + unit for j, unit in enumerate(identity(m))]
+    return [row[n:] for row in _hermite_row_basis(rows) if not any(row[:n])]
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:

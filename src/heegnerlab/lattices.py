@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -31,10 +31,11 @@ Gram = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Even integral lattice given by a Gram matrix plus inertia counts."""
+    """Even integral lattice: Gram matrix, inertia counts and determinant."""
 
     gram: Gram
     signature: tuple[int, int]
+    det: int
     name: str | None = None
 
     @property
@@ -178,13 +179,13 @@ _set_lattice, _set_num, _set_den = (DualVector.__dict__[f].__set__ for f in ("la
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:
     """Build a lattice from an integer Gram matrix, validating evenness."""
     rows = tuple(tuple(map(checked_int, row)) for row in checked_rows(gram, "gram"))
-    p, q, z, _ = symmetric_invariants(rows)
+    p, q, z, det = symmetric_invariants(rows)
     for i, row in enumerate(rows):
         if row[i] % 2 != 0:
             raise ValueError(f"diagonal entry {row[i]} at position {i} is odd; lattice must be even")
     if z:
         raise ValueError("Gram matrix is degenerate")
-    return IntegerLattice(gram=rows, signature=(p, q), name=name)
+    return IntegerLattice(gram=rows, signature=(p, q), det=det, name=name)
 
 
 U_GRAM = ((0, 1), (1, 0))
@@ -235,8 +236,8 @@ def build_named_lattice(name: str, *params: int) -> IntegerLattice:
     Parametrized names: ``rank1(d)`` and ``Lambda_d(d)`` take an even d > 0;
     ``Lambda_HK_prim(n, delta)`` takes n > 0 and delta in {1, 2}, where
     delta = 2 additionally requires n = 3 (mod 4).  Direct summands are laid
-    out block-diagonally in the conventional order.  Block signatures add,
-    so composite builds skip the full symmetric elimination.
+    out block-diagonally in the conventional order.  Block signatures add and
+    determinants multiply, so composite builds skip the symmetric elimination.
     """
     takes = NAMED_LATTICES.get(name) if isinstance(name, str) else None
     if takes is None:
@@ -300,7 +301,7 @@ def _assemble(name: str, blocks: Sequence[Gram]) -> IntegerLattice:
 
 
 def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
-    """Block-diagonal sum, in argument order; signatures add."""
+    """Block-diagonal sum, in argument order; signatures add, determinants multiply."""
     size = sum(checked_lattice(l).rank for l in lattices)
     gram, offset = [], 0
     for l in lattices:
@@ -308,24 +309,18 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
         offset += l.rank
     p = sum(l.signature[0] for l in lattices)
     q = sum(l.signature[1] for l in lattices)
-    return IntegerLattice(gram=tuple(gram), signature=(p, q))
+    return IntegerLattice(gram=tuple(gram), signature=(p, q), det=prod(l.det for l in lattices))
 
 
 def twist(lattice: IntegerLattice) -> IntegerLattice:
     """Twist by (-1): negate the pairing, swapping the signature."""
     gram = tuple(tuple(-x for x in row) for row in checked_lattice(lattice).gram)
     p, q = lattice.signature
-    return IntegerLattice(gram=gram, signature=(q, p))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _gram_invariants(gram: Gram) -> tuple[int, int, int, int]:
-    """symmetric_invariants of an integer Gram, shared by a complement and its determinant."""
-    return symmetric_invariants(gram)
+    return IntegerLattice(gram=gram, signature=(q, p), det=(-1) ** lattice.rank * lattice.det)
 
 
 def gram_determinant(lattice: IntegerLattice) -> int:
-    return _gram_invariants(checked_lattice(lattice).gram)[3]
+    return checked_lattice(lattice).det
 
 
 def disc(lattice: IntegerLattice) -> int:
@@ -379,8 +374,8 @@ def orthogonal_complement(
         for j in range(i, len(basis)):
             induced[i][j] = induced[j][i] = sum(x * y for x, y in zip(bi, images[j]))
     gram = tuple(map(tuple, induced))
-    p, q, z, _ = _gram_invariants(gram)
+    p, q, z, det = symmetric_invariants(gram)
     if z:
         raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
-    result = IntegerLattice(gram=gram, signature=(p, q))
+    result = IntegerLattice(gram=gram, signature=(p, q), det=det)
     return result, [tuple(b) for b in basis]

@@ -69,6 +69,16 @@ def test_theorem_range_flag():
     assert case_a(26).in_theorem_range
 
 
+def walk_every_m(d, n_max):
+    """Reference: every m with m^2 < d/2, keeping the n = d/2 - m^2 <= n_max."""
+    out, m = [], 0
+    while m * m < d // 2:
+        if d // 2 - m * m <= n_max:
+            out.append((d // 2 - m * m, m))
+        m += 1
+    return out
+
+
 def test_case_c():
     assert case_c(18, 9) == [(9, 0), (8, 1), (5, 2)]
     assert case_c(4, 10) == [(2, 0), (1, 1)]
@@ -77,6 +87,10 @@ def test_case_c():
         assert 1 <= n <= 500 and 500 - n == m * m
     with pytest.raises(ValueError, match="even"):
         case_c(9, 5)
+    assert case_c(10**30, 10) == []
+    for d in range(2, 5001, 2):
+        for n_max in (1, 2, 5, 10, 37, 1000):
+            assert case_c(d, n_max) == walk_every_m(d, n_max), (d, n_max)
 
 
 def test_cubic_map_degree():

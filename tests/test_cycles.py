@@ -391,7 +391,6 @@ def test_certificate_path_runs_one_integer_elimination(monkeypatch):
 
     monkeypatch.setattr(lattices, "symmetric_invariants", counting)
     monkeypatch.setattr(cycles, "symmetric_invariants", counting)
-    lattices._gram_invariants.cache_clear()
     wit = embed_k3_lattice(2 * 777_777)
     assert grams == [wit.complement_gram]
     assert wit.det_check_passed

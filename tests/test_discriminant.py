@@ -162,7 +162,7 @@ def test_serialization_keys():
 def test_singular_rejected():
     from heegnerlab.lattices import IntegerLattice
 
-    degenerate = IntegerLattice(gram=((2, 2), (2, 2)), signature=(1, 0))
+    degenerate = IntegerLattice(gram=((2, 2), (2, 2)), signature=(1, 0), det=0)
     with pytest.raises(ValueError, match="nondegenerate"):
         discriminant_group(degenerate)
 
@@ -170,7 +170,7 @@ def test_singular_rejected():
 def test_dual_basis_singular_rejected():
     from heegnerlab.lattices import IntegerLattice, dual_basis
 
-    degenerate = IntegerLattice(gram=((0,),), signature=(0, 0))
+    degenerate = IntegerLattice(gram=((0,),), signature=(0, 0), det=0)
     with pytest.raises(ValueError, match="nondegenerate"):
         dual_basis(degenerate)
 

@@ -18,10 +18,9 @@ from heegnerlab.lattices import (
     named_lattice,
     orthogonal_complement,
     twist,
-    _gram_invariants,
 )
 
-from conftest import invert_rational, random_even_gram
+from conftest import bareiss_determinant, invert_rational, random_even_gram, random_positive_definite_lattice
 
 
 def test_hyperbolic_plane():
@@ -218,7 +217,7 @@ def test_lattice_caches_stay_bounded():
         _tag_level(f"Lambda_HK_prim({n},1)")
     for d in range(2, 2 * extra + 1, 2):
         assert _tag_level(f"Lambda_d({d})") == 2 * d
-    for cached in (build_named_lattice, _gram_invariants, _tag_level):
+    for cached in (build_named_lattice, _tag_level):
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
@@ -281,6 +280,27 @@ def test_named_lattice_round_trips_the_table():
             assert lattice.name == expected
             assert named_lattice(lattice.name) is lattice
             assert HeegnerIndex(n=Fraction(0), gamma="0", lattice_tag=lattice.name).lattice_tag == expected
+
+
+def test_carried_determinant_matches_the_bareiss_oracle(rng):
+    """Each constructor's `det` against an independent elimination of the Gram."""
+    lattices = [build_named_lattice(name, *params) for name, samples in TABLE_SAMPLES.items() for params in samples]
+    lattices += [build_named_lattice("Lambda_d", d) for d in range(2, 60, 2)]
+    lattices += [build_named_lattice("Lambda_HK_prim", n, 2) for n in range(3, 40, 4)]
+    randoms = [random_even_gram(rng, rng.randint(1, 6)) for _ in range(200)]
+    lattices += randoms
+    lattices += [direct_sum(*rng.sample(randoms, rng.randint(0, 3))) for _ in range(50)]
+    lattices += [twist(l) for l in lattices[-100:]]
+    assert {l.rank % 2 for l in lattices[-100:]} == {0, 1}
+    for _ in range(50):
+        ambient = random_positive_definite_lattice(rng, rng.randint(2, 6))
+        count = rng.randint(1, ambient.rank - 1)
+        vectors = [[rng.randint(-3, 3) for _ in range(ambient.rank)] for _ in range(count)]
+        lattices.append(orthogonal_complement(ambient, vectors)[0])
+    e8 = build_named_lattice("E8")
+    lattices += [orthogonal_complement(e8, [first_primitive_vector(e8, d)])[0] for d in range(2, 80, 2)]
+    for lattice in lattices:
+        assert lattice.det == bareiss_determinant(lattice.gram), lattice
 
 
 @pytest.mark.parametrize(
