@@ -73,12 +73,25 @@ def case_b(d: int) -> CaseResult:
     return CaseResult(True, None, in_range)
 
 
+# Witnesses `case_c` builds at most.  Each has its own n in [1, n_max], so
+# no n_max up to the cap is ever refused; past it, a huge n_max with a huge d
+# would ask for about sqrt(d/2) witnesses, one certificate route each.
+CASE_C_WITNESS_CAP = 10**4
+
+
 def case_c(d: int, n_max: int) -> list[tuple[int, int]]:
     """Square witnesses: all n in [1, min(n_max, d/2)] with d/2 - n = m^2, as
-    (n, m) in ascending m, walked from the least m with m^2 >= d/2 - n_max."""
+    (n, m) in ascending m, walked from the least m with m^2 >= d/2 - n_max.
+    More than CASE_C_WITNESS_CAP witnesses are refused before any is built."""
     d, n_max = checked_even(d, "d", 2), checked_int(n_max, "n_max", 1)
     half = d // 2
     m = math.isqrt(half - n_max - 1) + 1 if half > n_max else 0
+    count = math.isqrt(half - 1) - m + 1
+    if count > CASE_C_WITNESS_CAP:
+        raise ValueError(
+            f"n_max = {n_max} is too large for d = {d}: {count} square witnesses"
+            f" pass the cap of {CASE_C_WITNESS_CAP}"
+        )
     out = []
     while m * m < half:
         out.append((half - m * m, m))

@@ -188,21 +188,32 @@ def run_embed(args) -> tuple[dict, int]:
     return witness.to_jsonable(), 0 if witness.det_check_passed and witness.image_primitive else 1
 
 
+def _sweep(text: str, make):
+    """make(g) -> (record, exit code) for every genus g of the range A:B, in
+    order, made one at a time.  The last genus is made first and held, so a
+    top past a bound fails before any output, and no genus is made twice."""
+    genera = _parse_range(text)
+    last = make(genera[-1])
+    for g in genera[:-1]:
+        yield make(g)
+    yield last
+
+
 def run_admissible(args) -> tuple[object, int]:
     if args.d is not None:
         return admissibility_report(args.d, args.n_max), 0
     if args.g is not None:
         return admissibility_report(2 * args.g - 2, args.n_max), 0
-    reports = [admissibility_report(2 * g - 2, args.n_max) for g in _parse_range(args.g_range)]
-    return reports, 0
+    return _sweep(args.g_range, lambda g: (admissibility_report(2 * g - 2, args.n_max), 0)), 0
 
 
 def run_bound(args) -> tuple[object, int]:
-    genera = [args.g] if args.g is not None else _parse_range(args.g_range)
-    certs = [irr_bound_certificate(g, args.n_max) for g in genera]
-    # exit 1 when a uniform route's witness fails its det check, as `embed` does
-    failed = any(not route.extras.get("det_check_pass", True) for cert in certs for route in cert.routes)
-    return certs[0] if args.g is not None else certs, int(failed)
+    def certified(g):
+        cert = irr_bound_certificate(g, args.n_max)
+        # exit 1 when a uniform route's witness fails its det check, as `embed` does
+        return cert, int(any(not route.extras.get("det_check_pass", True) for route in cert.routes))
+
+    return certified(args.g) if args.g is not None else (_sweep(args.g_range, certified), 0)
 
 
 def run_growth(args) -> tuple[object, int]:
@@ -225,18 +236,21 @@ def _jsonable(obj):
     return obj.to_jsonable() if hasattr(obj, "to_jsonable") else obj
 
 
+def _csv(items, header: bool = True) -> str:
+    if not all(hasattr(x, "rows") for x in items):
+        raise UsageError("csv output is only available for flat reports (admissible, growth sandwich)")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header:
+        writer.writerow(("input", "clause", "pass"))
+    for item in items:
+        writer.writerows(item.rows())
+    return buf.getvalue()
+
+
 def _render(payload, args) -> str:
     if args.format == "csv":
-        items = payload if isinstance(payload, list) else [payload]
-        if not all(hasattr(x, "rows") for x in items):
-            raise UsageError("csv output is only available for flat reports (admissible, growth sandwich)")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("input", "clause", "pass"))
-        for item in items:
-            for row in item.rows():
-                writer.writerow(row)
-        return buf.getvalue()
+        return _csv(payload if isinstance(payload, list) else [payload])
     doc = [_jsonable(x) for x in payload] if isinstance(payload, list) else _jsonable(payload)
     if args.meta:
         envelope = {
@@ -248,11 +262,47 @@ def _render(payload, args) -> str:
             },
         }
         body = json.dumps(envelope, indent=2, sort_keys=False, allow_nan=False)
-    elif isinstance(payload, list):
-        body = "\n".join(json.dumps(x, sort_keys=False, allow_nan=False) for x in doc)
     else:
         body = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
     return body + "\n"
+
+
+def _write_sweep(pairs, args, out: "_Output") -> int:
+    """Write the (record, exit code) pairs of a --g-range as they are made:
+    one JSON line per record, or its CSV rows after one header.  `--meta`
+    buffers them into one document.  Returns the largest exit code."""
+    code, records = 0, []
+    for i, (record, status) in enumerate(pairs):
+        code = max(code, status)
+        if args.meta:
+            records.append(record)
+        elif args.format == "csv":
+            out.write(_csv([record], header=i == 0))
+        else:
+            out.write(json.dumps(_jsonable(record), sort_keys=False, allow_nan=False) + "\n")
+    if args.meta:
+        out.write(_render(records, args))
+    return code
+
+
+class _Output:
+    """Standard output, or the --out file opened at the first write, so a
+    command that fails before it writes leaves no file."""
+
+    def __init__(self, path: str | None):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w") if self.path else sys.stdout
+        self.fh.write(text)
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.path and self.fh is not None:
+            self.fh.close()
 
 
 def main(argv=None) -> int:
@@ -276,13 +326,12 @@ def main(argv=None) -> int:
         "growth": run_growth,
     }
     try:
-        payload, code = handlers[args.command](args)
-        text = _render(payload, args)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with _Output(args.out) as out:
+            payload, code = handlers[args.command](args)
+            if getattr(args, "g_range", None) is None:
+                out.write(_render(payload, args))
+            else:
+                code = _write_sweep(payload, args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

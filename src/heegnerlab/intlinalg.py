@@ -9,17 +9,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(mat, vec) -> list:
-    return [sum(x * y for x, y in zip(row, vec)) for row in mat]
+    return [sum(map(mul, row, vec)) for row in mat]
 
 
 def is_symmetric(mat) -> bool:
@@ -231,7 +232,11 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     zero, with that part dropped, are the canonical HNF basis of the kernel
     (Cohen, GTM 138, 2.4).
     """
-    a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
+    return _kernel_basis([[checked_int(x) for x in row] for row in checked_rows(mat)])
+
+
+def _kernel_basis(a: list[list[int]]) -> list[list[int]]:
+    """kernel_basis of integer rows of one length."""
     n = len(a)
     m = len(a[0]) if n else 0
     rows = [[row[j] for row in a] + unit for j, unit in enumerate(identity(m))]
@@ -261,10 +266,10 @@ def _hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
         while len(sel) > 1:
             sel.sort(key=lambda r: abs(r[col]))
             head = sel[0]
+            tail = head[col:]
             for r in sel[1:]:
                 c = r[col] // head[col]
-                for k in range(col, m):
-                    r[k] -= c * head[k]
+                r[col:] = [x - c * y for x, y in zip(r[col:], tail)]
             sel = [head] + [r for r in sel[1:] if r[col] != 0]
         head = sel[0]
         if head[col] < 0:
@@ -273,9 +278,9 @@ def _hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
         work = [r for r in work if r is not head and any(r)]
     for i in range(1, len(basis)):
         piv = next(k for k in range(m) if basis[i][k] != 0)
+        tail = basis[i][piv:]
         for j in range(i):
-            c = basis[j][piv] // basis[i][piv]
+            c = basis[j][piv] // tail[0]
             if c:
-                for k in range(m):
-                    basis[j][k] -= c * basis[i][k]
+                basis[j][piv:] = [x - c * y for x, y in zip(basis[j][piv:], tail)]
     return basis

@@ -11,15 +11,16 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    _kernel_basis,
     checked_even,
     checked_int,
     checked_row,
     checked_rows,
     identity,
-    kernel_basis,
     mat_vec,
     smith_normal_form,
     symmetric_invariants,
@@ -367,12 +368,12 @@ def orthogonal_complement(
     if not vecs:
         return lattice, [tuple(row) for row in identity(lattice.rank)]
     pairing_rows = [mat_vec(lattice.gram, v) for v in vecs]
-    basis = kernel_basis(pairing_rows)
+    basis = _kernel_basis(pairing_rows)
     images = [mat_vec(lattice.gram, b) for b in basis]
     induced = [[0] * len(basis) for _ in basis]
     for i, bi in enumerate(basis):
         for j in range(i, len(basis)):
-            induced[i][j] = induced[j][i] = sum(x * y for x, y in zip(bi, images[j]))
+            induced[i][j] = induced[j][i] = sum(map(mul, bi, images[j]))
     gram = tuple(map(tuple, induced))
     p, q, z, det = symmetric_invariants(gram)
     if z:

@@ -13,6 +13,7 @@ from heegnerlab.arith import (
     sigma_power,
 )
 from heegnerlab.bounds import (
+    CASE_C_WITNESS_CAP,
     THEOREM_RANGE_MIN_D,
     SandwichReport,
     admissibility_report,
@@ -91,6 +92,13 @@ def test_case_c():
     for d in range(2, 5001, 2):
         for n_max in (1, 2, 5, 10, 37, 1000):
             assert case_c(d, n_max) == walk_every_m(d, n_max), (d, n_max)
+    # at n_max >= d/2 the witnesses are m = 0..isqrt(d/2 - 1): the cap exactly, then one more
+    cap = CASE_C_WITNESS_CAP
+    assert len(case_c(2 * cap**2, cap**2)) == cap
+    with pytest.raises(ValueError, match="n_max"):
+        case_c(2 * (cap**2 + 1), cap**2 + 1)
+    with pytest.raises(ValueError, match="n_max"):
+        case_c(2**63, 10**30)
 
 
 def test_cubic_map_degree():

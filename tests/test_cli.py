@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from heegnerlab.cli import _render
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, stdin: str | None = None, env_extra: dict | None = None):
+def run_cli(*args, stdin: str | None = None, env_extra: dict | None = None, timeout: float | None = None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -24,6 +25,7 @@ def run_cli(*args, stdin: str | None = None, env_extra: dict | None = None):
         text=True,
         input=stdin,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -318,6 +320,59 @@ def test_bound_exits_1_when_a_det_check_fails(monkeypatch, capsys):
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [doc["routes"][-1]["det_check_pass"] for doc in docs] == [True, True, False, True, True]
     assert cli.main(["bound", "--g-range", "2:7"]) == 0
+
+
+def test_range_output_streams_in_flat_memory(tmp_path):
+    out = str(tmp_path / "certs.jsonl")
+    # an untraced sweep first fills the bounded caches and the interpreter's
+    # free lists, which would otherwise read as growth of the longer sweep
+    assert cli.main(["bound", "--g-range", "2:3000", "--out", out]) == 0
+    peaks = {}
+    for text in ("2:300", "2:3000"):
+        tracemalloc.start()
+        try:
+            assert cli.main(["bound", "--g-range", text, "--out", out]) == 0
+            peaks[text] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["2:3000"] <= 1.5 * peaks["2:300"], peaks
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 2999
+
+
+def test_range_past_a_bound_fails_before_any_output(tmp_path):
+    out = tmp_path / "certs.jsonl"
+    top = str(10**30)
+    for args in (("--g-range", f"2:{top}"), ("--g-range", f"2:{top}", "--out", str(out))):
+        result = run_cli("bound", *args, timeout=60)
+        assert_usage_error(result, "trial-division bound")
+    assert not out.exists()
+
+
+def test_range_failing_between_its_ends_keeps_the_lines_written(monkeypatch, capsys):
+    from heegnerlab import bounds
+
+    real = cli.irr_bound_certificate
+
+    def failing(g, n_max):
+        if g == 5:
+            raise AssertionError("complement rank 6 != 7 for d=8")
+        return real(g, n_max)
+
+    monkeypatch.setattr(cli, "irr_bound_certificate", failing)
+    assert cli.main(["bound", "--g-range", "2:8"]) == 1
+    captured = capsys.readouterr()
+    assert [json.loads(line)["g"] for line in captured.out.splitlines()] == [2, 3, 4]
+    assert captured.err == "error: internal check failed: complement rank 6 != 7 for d=8\n"
+    # the case C cap is not monotone in g: both ends pass it, g = 10^8 + 2 does not
+    assert bounds.CASE_C_WITNESS_CAP == 10**4
+    argv = ["admissible", "--g-range", f"{10**8}:{10**11}", "--n-max", str(4 * 10**8), "--format", "csv"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "input,clause,pass" and len(lines) == 1 + 3 * 2
+    assert [line.split(",")[0] for line in lines[1::3]] == [str(2 * 10**8 - 2), str(2 * 10**8)]
+    assert captured.err.startswith("error: n_max = 400000000 is too large for d = 200000002")
 
 
 NUMPY_FREE_SCRIPT = """

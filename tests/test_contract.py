@@ -150,6 +150,8 @@ EXPLICIT_REFUSALS = {
     "verify_sl2_relations(REP, tol=True)": lambda: H.verify_sl2_relations(REP, tol=True),
     "sandwich_check(4, (1, 2**63))": lambda: H.sandwich_check(4, (1, 2**63)),
     "sandwich_check(2**63, (1, 10))": lambda: H.sandwich_check(2**63, (1, 10)),
+    # `admissible --d 9223372036854775808 --n-max 10**30`: past the case C witness cap
+    "admissibility_report(2**63, n_max=10**30)": lambda: H.admissibility_report(2**63, n_max=10**30),
 }
 
 

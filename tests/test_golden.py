@@ -1,8 +1,9 @@
-"""Pinned SHA-256 digests of the embedding witnesses and the bound CLI.
+"""Pinned SHA-256 digests of the embedding witnesses and the range CLI.
 
 The digests were computed before the Kudla complement moved into the spare
-E8 block.  Later rewrites of the complement, the rank or the enumerator must
-keep every byte, so a changed digest is a changed result.
+E8 block, and the admissibility ones before range output was streamed.
+Later rewrites of the complement, the rank, the enumerator or the output
+path must keep every byte, so a changed digest is a changed result.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 WITNESSES_D_2_TO_600 = "5af4fe26affce34a9797504d1dc70f05c6db10cadc870f0c80908846e092e05a"
 BOUND_G_RANGE_2_TO_200 = "7001914ed39924d03016f5450c1cdb5f1ceb49478dcb5bef0d5e0bed431068da"
+ADMISSIBLE_G_RANGE_2_TO_2000 = "10e8f5df24d94e1806df866bbd01c3c6173411afc618112c982e14e454718f00"
+ADMISSIBLE_G_RANGE_2_TO_2000_CSV = "d4ef76b88f0e09d234669d4d563fd81e0d4c7df3f5fdfb4e69d0fb178314affa"
 
 
 def test_embedding_witnesses_are_pinned():
@@ -29,12 +32,18 @@ def test_embedding_witnesses_are_pinned():
     assert digest.hexdigest() == WITNESSES_D_2_TO_600
 
 
-def test_bound_range_stdout_is_pinned():
+def _stdout_digest(*args):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    result = subprocess.run(
-        [sys.executable, "-m", "heegnerlab", "bound", "--g-range", "2:200"],
-        capture_output=True,
-        env=env,
-    )
+    result = subprocess.run([sys.executable, "-m", "heegnerlab", *args], capture_output=True, env=env)
     assert result.returncode == 0
-    assert hashlib.sha256(result.stdout).hexdigest() == BOUND_G_RANGE_2_TO_200
+    return hashlib.sha256(result.stdout).hexdigest()
+
+
+def test_bound_range_stdout_is_pinned():
+    assert _stdout_digest("bound", "--g-range", "2:200") == BOUND_G_RANGE_2_TO_200
+
+
+def test_admissible_range_stdout_is_pinned():
+    assert _stdout_digest("admissible", "--g-range", "2:2000") == ADMISSIBLE_G_RANGE_2_TO_2000
+    csv_digest = _stdout_digest("admissible", "--g-range", "2:2000", "--format", "csv")
+    assert csv_digest == ADMISSIBLE_G_RANGE_2_TO_2000_CSV
