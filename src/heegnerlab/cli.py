@@ -332,6 +332,11 @@ def main(argv=None) -> int:
                 out.write(_render(payload, args))
             else:
                 code = _write_sweep(payload, args, out)
+    except BrokenPipeError:
+        # the reader stopped early, the usual way to end a long sweep; stdout
+        # now points at devnull so the flush at shutdown raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """Discriminant groups D(M) = M-dual / M with their finite quadratic forms.
 
-The group is computed from an integer Smith normal form of the Gram matrix.
-Transformation matrices are retained so that every generator carries an
-explicit dual-vector lift.  With L the common denominator of the lifts, each
-L*g_i is a lattice vector, so the Gram P of the scaled generators is an
-integer matrix, and for residue tuples x, y
+The group is read off the Smith normal form S = U @ Gram @ V.  Its
+generators are the dual vectors g_i = (column i of V) / s_i for the invariant
+factors s_i > 1; each column of the unimodular V is primitive, so g_i has
+denominator exactly s_i, and the largest invariant factor L is their common
+denominator.  Each L*g_i is a lattice vector, so the Gram P of the scaled
+generators is an integer matrix, and for residue tuples x, y
 
     q(x) = x^T P x / (2 L^2) mod 1,    b(x, y) = x^T P y / L^2 mod 1,
 
@@ -19,10 +20,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index
+from operator import index, mul
 from typing import Iterator, Sequence
 
-from .intlinalg import checked_int, identity, mat_vec, smith_normal_form
+from .intlinalg import Matrix, checked_int, identity, mat_vec, smith_normal_form
 from .lattices import DualVector, IntegerLattice, checked_lattice
 
 Element = tuple[int, ...]
@@ -38,28 +39,20 @@ class DiscriminantGroup:
     are freely shareable across threads.
     """
 
-    def __init__(
-        self,
-        lattice: IntegerLattice,
-        elementary_divisors: tuple[int, ...],
-        generators: tuple[DualVector, ...],
-        snf_rows: tuple[tuple[int, ...], ...],
-        snf_slots: tuple[int, ...],
-    ):
+    def __init__(self, lattice: IntegerLattice, smith: tuple[Matrix, Matrix, Matrix]):
+        """The group of `lattice` from (S, U, V) = smith_normal_form(lattice.gram)."""
+        s, u, v = smith
+        slots = [i for i in range(lattice.rank) if s[i][i] > 1]
         self.lattice = lattice
-        self.elementary_divisors = elementary_divisors
-        self.generators = generators
-        self._snf_rows = snf_rows
-        self._snf_slots = snf_slots
-        self.order = prod(elementary_divisors)
-        self._units = tuple(tuple(row) for row in identity(len(elementary_divisors)))
-        self._lift_den = lcm(*(g.den for g in generators))
+        self.elementary_divisors = tuple(s[i][i] for i in slots)
+        self.order = prod(self.elementary_divisors)
+        self._lift_den = self.elementary_divisors[-1] if slots else 1
+        # the rows of U that map a dual vector's Gram image to its residues
+        self._snf_rows = tuple(tuple(u[i]) for i in slots)
         # L*g_i as integer vectors, and their integer Gram P
-        self._scaled = tuple(tuple(x * (self._lift_den // g.den) for x in g.num) for g in generators)
-        images = [mat_vec(lattice.gram, v) for v in self._scaled]
-        self._pair = tuple(tuple(sum(a * b for a, b in zip(u, w)) for w in images) for u in self._scaled)
-        self._q_table: dict[Element, Fraction] | None = None
-        self._level: int | None = None
+        self._scaled = tuple(tuple(row[i] * (self._lift_den // s[i][i]) for row in v) for i in slots)
+        images = [mat_vec(lattice.gram, w) for w in self._scaled]
+        self._pair = tuple(tuple(sum(map(mul, w, image)) for image in images) for w in self._scaled)
 
     def __repr__(self) -> str:
         parts = " x ".join(f"Z/{s}" for s in self.elementary_divisors) or "trivial"
@@ -114,17 +107,14 @@ class DiscriminantGroup:
         if any(x % v.den for x in gv):
             raise ValueError("vector is not in the dual lattice")
         image = mat_vec(self._snf_rows, [x // v.den for x in gv])
-        return tuple(int(image[i]) % s for i, s in zip(self._snf_slots, self.elementary_divisors))
+        return tuple(x % s for x, s in zip(image, self.elementary_divisors))
 
     @property
     def q_values(self) -> dict[Element, Fraction]:
         """Exact q-table: all elements when |D| fits the cap, else generators."""
-        if self._q_table is None:
-            if self.order <= FULL_TABLE_CAP:
-                self._q_table = {elem: self.q(elem) for elem in self.elements()}
-            else:
-                self._q_table = {u: self.q(u) for u in self._units}
-        return self._q_table
+        if self.q_mode == "full":
+            return {elem: self.q(elem) for elem in self.elements()}
+        return {u: self.q(u) for u in map(tuple, identity(len(self.elementary_divisors)))}
 
     @property
     def q_mode(self) -> str:
@@ -138,11 +128,9 @@ class DiscriminantGroup:
         2L^2 | N P_ii and L^2 | N P_ij for i != j, so the level is the lcm
         of 2L^2 / gcd(2L^2, P_ii) and L^2 / gcd(L^2, P_ij).
         """
-        if self._level is None:
-            m, pair = self._lift_den**2, self._pair
-            diagonal = (2 * m // gcd(2 * m, row[i]) for i, row in enumerate(pair))
-            self._level = lcm(*diagonal, *(m // gcd(m, x) for i, row in enumerate(pair) for x in row[:i]))
-        return self._level
+        m, pair = self._lift_den**2, self._pair
+        diagonal = (2 * m // gcd(2 * m, row[i]) for i, row in enumerate(pair))
+        return lcm(*diagonal, *(m // gcd(m, x) for i, row in enumerate(pair) for x in row[:i]))
 
     def element_key(self, elem: Sequence[int]) -> str:
         return ",".join(str(x) for x in self.reduce(elem))
@@ -160,21 +148,10 @@ def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> 
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
     order = abs(det)
-    hard = HARD_CAP if hard_cap is None else checked_int(hard_cap, "hard_cap")
+    hard = HARD_CAP if hard_cap is None else checked_int(hard_cap, "hard_cap", 1)
     if order > hard:
         raise ValueError(f"discriminant group order {order} exceeds the hard cap {hard}")
-    snf, u, v = smith_normal_form(lattice.gram)
-    slots = tuple(i for i in range(lattice.rank) if snf[i][i] > 1)
-    divisors = tuple(snf[i][i] for i in slots)
-    generators = tuple(DualVector.from_scaled(lattice, (row[i] for row in v), snf[i][i]) for i in slots)
-    group = DiscriminantGroup(
-        lattice=lattice,
-        elementary_divisors=divisors,
-        generators=generators,
-        snf_rows=tuple(tuple(row) for row in u),
-        snf_slots=slots,
-    )
+    group = DiscriminantGroup(lattice, smith_normal_form(lattice.gram))
     if group.order != order:
         raise AssertionError("Smith form inconsistent with |det Gram|")
     return group
-

@@ -143,78 +143,55 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     """Smith normal form with transforms: returns (S, U, V) with S = U @ mat @ V.
 
     U and V are unimodular; S is diagonal with nonnegative entries satisfying
-    the divisibility chain S[0][0] | S[1][1] | ...
+    the divisibility chain S[0][0] | S[1][1] | ...  The n x m matrix is
+    reduced inside the augmented matrix [[mat, I_n], [I_m, 0]]: row operations
+    act on its first n rows and column operations on its first m columns, so
+    it ends as [[S, U], [V, 0]].
     """
     a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
     n = len(a)
     m = len(a[0]) if n else 0
-    u = identity(n)
-    v = identity(m)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    if any(len(row) != m for row in a):  # a short row would shift U's block
+        raise ValueError(f"matrix rows must have one length, got {[len(row) for row in a]}")
+    w = [row + unit for row, unit in zip(a, identity(n))] + [unit + [0] * n for unit in identity(m)]
 
     def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
 
     def add_col(dst, src, c):
-        for row in a:
+        for row in w:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     for t in range(min(n, m)):
         while True:
             best = None
             for i in range(t, n):
-                for j in range(t, m):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(best[2])):
-                        best = (i, j, x)
+                for j, x in enumerate(w[i][t:m], t):
+                    if x and (best is None or abs(x) < smallest):
+                        best, smallest = (i, j), abs(x)
             if best is None:
                 break
-            bi, bj, _ = best
-            if bi != t:
-                swap_rows(t, bi)
+            bi, bj = best
+            w[t], w[bi] = w[bi], w[t]
             if bj != t:
-                swap_cols(t, bj)
+                for row in w:
+                    row[t], row[bj] = row[bj], row[t]
+            pivot = w[t][t]
             for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
+                if w[i][t]:
+                    add_row(i, t, -(w[i][t] // pivot))
             for j in range(t + 1, m):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
-                a[t][j] == 0 for j in range(t + 1, m)
-            ):
-                pivot = a[t][t]
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(t + 1, n)
-                        for j in range(t + 1, m)
-                        if a[i][j] % pivot != 0
-                    ),
-                    None,
-                )
-                if bad is None:
-                    break
-                add_row(t, bad[0], 1)
-        if t < min(n, m) and a[t][t] < 0:
-            negate_row(t)
-    return a, u, v
+                if w[t][j]:
+                    add_col(j, t, -(w[t][j] // pivot))
+            if any(w[i][t] for i in range(t + 1, n)) or any(w[t][t + 1 : m]):
+                continue
+            bad = next((i for i in range(t + 1, n) for x in w[i][t + 1 : m] if x % pivot), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    return [row[:m] for row in w[:n]], [row[m:] for row in w[:n]], [row[:m] for row in w[n:]]
 
 
 def elementary_divisors(mat: Matrix) -> list[int]:

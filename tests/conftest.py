@@ -10,6 +10,9 @@ vectors, paired one by one, the oracle for `EmbeddingWitness.moment`.
 `recursive_lex_stream` is the nested-generator Fincke-Pohst traversal that
 the flat loop of `enumeration.lex_stream` replaced, kept as its slow path: it
 scans every leaf interval instead of solving for the last coordinate.
+`unaugmented_smith_normal_form` is the Smith form that repeated each row and
+column operation on separate U and V, the oracle for the augmented
+elimination of `intlinalg.smith_normal_form`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from heegnerlab.enumeration import _exact_norm
-from heegnerlab.intlinalg import Matrix
+from heegnerlab.intlinalg import Matrix, checked_int, checked_rows, identity
 from heegnerlab.cycles import MomentMatrix
 from heegnerlab.lattices import DualVector, IntegerLattice, make_lattice
 
@@ -64,6 +67,84 @@ def fraction_determinant(mat) -> Fraction:
     scale = lcm(*(x.denominator for row in rows for x in row))
     scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     return Fraction(bareiss_determinant(scaled), scale ** len(rows))
+
+
+def unaugmented_smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith normal form with transforms: returns (S, U, V) with S = U @ mat @ V.
+
+    U and V are unimodular; S is diagonal with nonnegative entries satisfying
+    the divisibility chain S[0][0] | S[1][1] | ...
+    """
+    a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u = identity(n)
+    v = identity(m)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    for t in range(min(n, m)):
+        while True:
+            best = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    x = a[i][j]
+                    if x != 0 and (best is None or abs(x) < abs(best[2])):
+                        best = (i, j, x)
+            if best is None:
+                break
+            bi, bj, _ = best
+            if bi != t:
+                swap_rows(t, bi)
+            if bj != t:
+                swap_cols(t, bj)
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+            for j in range(t + 1, m):
+                if a[t][j] != 0:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
+                a[t][j] == 0 for j in range(t + 1, m)
+            ):
+                pivot = a[t][t]
+                bad = next(
+                    (
+                        (i, j)
+                        for i in range(t + 1, n)
+                        for j in range(t + 1, m)
+                        if a[i][j] % pivot != 0
+                    ),
+                    None,
+                )
+                if bad is None:
+                    break
+                add_row(t, bad[0], 1)
+        if t < min(n, m) and a[t][t] < 0:
+            negate_row(t)
+    return a, u, v
 
 
 def t_matrix_order(rep, tol: float = 1e-9) -> int:

@@ -349,6 +349,23 @@ def test_range_past_a_bound_fails_before_any_output(tmp_path):
     assert not out.exists()
 
 
+def test_closed_pipe_ends_quietly(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heegnerlab", "bound", "--g-range", "2:3000"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        err.seek(0)
+        stderr = err.read()
+    assert "error:" not in stderr and "Traceback" not in stderr
+
+
 def test_range_failing_between_its_ends_keeps_the_lines_written(monkeypatch, capsys):
     from heegnerlab import bounds
 

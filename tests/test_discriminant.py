@@ -5,6 +5,7 @@ import pytest
 
 from heegnerlab import discriminant
 from heegnerlab.discriminant import discriminant_group
+from heegnerlab.intlinalg import identity
 from heegnerlab.lattices import DualVector, build_named_lattice, direct_sum, disc
 
 from conftest import random_even_gram
@@ -115,7 +116,8 @@ def test_level_minimality_exhaustive(rng):
 def test_generator_lifts_are_dual_vectors():
     for name in ("Lambda_C", "Lambda_GM", "Lambda_HK"):
         group = discriminant_group(build_named_lattice(name))
-        for order, gen in zip(group.elementary_divisors, group.generators):
+        units = identity(len(group.elementary_divisors))
+        for order, gen in zip(group.elementary_divisors, map(group.lift, units)):
             assert gen.in_dual()
             assert not gen.in_lattice()
             scaled = DualVector(gen.lattice, tuple(order * c for c in gen.coords))
@@ -250,6 +252,9 @@ def test_hard_cap_is_checked_not_truncated():
     assert discriminant_group(a2, hard_cap=3.0).order == 3
     with pytest.raises(ValueError, match="hard cap 2"):
         discriminant_group(a2, hard_cap=2.0)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match=f"hard_cap must be positive, got {cap}"):
+            discriminant_group(a2, hard_cap=cap)
 
 
 def test_non_lattice_rejected():

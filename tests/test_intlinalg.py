@@ -12,6 +12,7 @@ from heegnerlab.intlinalg import (
     smith_normal_form,
     symmetric_invariants,
 )
+from heegnerlab.lattices import NAMED_LATTICES, build_named_lattice
 
 from conftest import (
     bareiss_determinant,
@@ -19,6 +20,7 @@ from conftest import (
     invert_rational,
     rational_rank,
     symmetric_signature,
+    unaugmented_smith_normal_form,
 )
 
 
@@ -54,6 +56,40 @@ def test_smith_normal_form_properties():
         assert all(d >= 0 for d in diag)
         nz = [d for d in diag if d]
         assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+
+
+@st.composite
+def integer_matrices(draw):
+    """n x m integer matrices (n in 0..6, m in 1..6) with entries up to
+    1, 10 or 10^6 in absolute value, some rows and columns zeroed."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    bound = draw(st.sampled_from((1, 10, 10**6)))
+    a = [[draw(st.integers(-bound, bound)) for _ in range(m)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        a[i] = [0] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in a:
+            row[j] = 0
+    return a
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_smith_normal_form_matches_the_unaugmented_oracle(a):
+    assert smith_normal_form(a) == unaugmented_smith_normal_form(a)
+
+
+def test_smith_normal_form_matches_the_oracle_on_named_grams():
+    examples = {"rank1": (14,), "Lambda_HK_prim": (7, 2), "Lambda_d": (14,)}
+    for name in NAMED_LATTICES:
+        gram = build_named_lattice(name, *examples.get(name, ())).gram
+        assert smith_normal_form(gram) == unaugmented_smith_normal_form(gram)
+
+
+def test_ragged_rows_are_refused():
+    for ragged in ([[1, 2], [3]], [[2], [3, 4]]):
+        with pytest.raises(ValueError, match="rows must have one length"):
+            smith_normal_form(ragged)
 
 
 def test_elementary_divisors_examples():

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.intlinalg import identity, kernel_basis
+from heegnerlab.intlinalg import identity, kernel_basis, smith_normal_form
 from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice, orthogonal_complement
 
 from conftest import bareiss_determinant, rational_rank
@@ -94,6 +94,19 @@ def test_element_of_inverts_lift(lattice):
     assume(group.order <= 200)
     for elem in group.elements():
         assert group.element_of(group.lift(elem)) == elem
+
+
+@PROPERTY
+@given(even_lattices())
+def test_generator_lifts_are_the_smith_columns(lattice):
+    group = discriminant_group(lattice)
+    s, _, v = smith_normal_form(lattice.gram)
+    slots = [i for i in range(lattice.rank) if s[i][i] > 1]
+    units = identity(len(slots))
+    for i, unit in zip(slots, units):
+        gen = group.lift(unit)
+        assert gen == DualVector.from_scaled(lattice, [row[i] for row in v], s[i][i])
+        assert gen.den == s[i][i]
 
 
 @PROPERTY
