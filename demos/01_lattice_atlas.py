@@ -5,7 +5,7 @@ Every number printed here is exact; the discriminant form values are
 rationals mod 1 computed from Smith-normal-form generator lifts.
 """
 
-from heegnerlab import build_named_lattice, discriminant_group, gram_determinant
+from heegnerlab import build_named_lattice, discriminant_group
 
 NAMED = [
     ("U", ()),
@@ -28,7 +28,7 @@ for name, params in NAMED:
     shape = " x ".join(f"Z/{s}" for s in group.elementary_divisors) or "trivial"
     print(
         f"{lat.name:<22} {lat.rank:>4} {str(lat.signature):>10} "
-        f"{gram_determinant(lat):>6} {shape:<14} {group.level:>5}"
+        f"{lat.det:>6} {shape:<14} {group.level:>5}"
     )
 
 print()

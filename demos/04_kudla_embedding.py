@@ -10,6 +10,7 @@ det(T) = d / 2^7 exactly.
 """
 
 from heegnerlab import embed_k3_lattice
+from heegnerlab.intlinalg import symmetric_invariants
 
 print(f"{'d':>4} {'det(T)':>9} {'d/128':>9} {'primitive':>9} {'complement diag':<24}")
 for d in (2, 4, 8, 14, 26, 50, 100):
@@ -28,5 +29,7 @@ print(f"  norm-14 vector in the spare block: {wit.image_basis[-1][16:24]}")
 print("  complement Gram:")
 for row in wit.complement_gram:
     print(f"    {row}")
-print(f"  moment matrix rank {wit.moment.rank}, det {wit.moment.det}")
-print(f"  positive semidefinite: {wit.moment.is_positive_semidefinite}")
+# T = G / 2 has the inertia of the complement Gram G, and det(T) = det G / 2^7
+p, q, z, _ = symmetric_invariants(wit.complement_gram)
+print(f"  moment matrix rank {p + q}, det {wit.det_lhs}")
+print(f"  inertia (p, q, z) = {(p, q, z)}, positive semidefinite: {q == 0}")

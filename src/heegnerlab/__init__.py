@@ -6,14 +6,9 @@ from .lattices import (
     IntegerLattice,
     build_named_lattice,
     direct_sum,
-    disc,
-    dual_basis,
-    gram_determinant,
-    is_primitive,
     make_lattice,
     named_lattice,
     orthogonal_complement,
-    twist,
 )
 from .discriminant import DiscriminantGroup, discriminant_group
 from .enumeration import enumerate_by_norm, first_primitive_vector
@@ -23,22 +18,19 @@ from .weil import (
     build_weil_rep,
     relations_pass,
     verify_sl2_relations,
-    weight_of,
 )
 from .cycles import (
     EmbeddingWitness,
     HKIndexFamily,
     HeegnerIndex,
     LabellingWitness,
-    MomentMatrix,
     cubic_heegner_index,
     embed_k3_lattice,
     gm_heegner_index,
-    gm_labelling_gram,
     gm_residue_vector,
     hk_heegner_index,
 )
-from .arith import factorize, is_squarefree, num_divisors, omega, sigma_power
+from .arith import factorize, omega, sigma_power
 from .bounds import (
     AdmissibilityReport,
     BoundCertificate,
@@ -47,7 +39,6 @@ from .bounds import (
     case_a,
     case_b,
     case_c,
-    cubic_map_degree,
     divisor_bound_check,
     fm_partner_count,
     growth_exponent_estimate,
@@ -60,20 +51,18 @@ from .bounds import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualVector", "IntegerLattice", "build_named_lattice", "direct_sum", "disc",
-    "dual_basis", "gram_determinant", "is_primitive", "make_lattice", "named_lattice",
-    "orthogonal_complement", "twist",
+    "DualVector", "IntegerLattice", "build_named_lattice", "direct_sum", "make_lattice",
+    "named_lattice", "orthogonal_complement",
     "DiscriminantGroup", "discriminant_group",
     "enumerate_by_norm", "first_primitive_vector",
     "RelationCheck", "WeilRepresentation", "build_weil_rep", "relations_pass",
-    "verify_sl2_relations", "weight_of",
+    "verify_sl2_relations",
     "EmbeddingWitness", "HKIndexFamily", "HeegnerIndex",
-    "LabellingWitness", "MomentMatrix", "cubic_heegner_index", "embed_k3_lattice",
-    "gm_heegner_index", "gm_labelling_gram", "gm_residue_vector",
-    "hk_heegner_index",
-    "factorize", "is_squarefree", "num_divisors", "omega", "sigma_power",
+    "LabellingWitness", "cubic_heegner_index", "embed_k3_lattice",
+    "gm_heegner_index", "gm_residue_vector", "hk_heegner_index",
+    "factorize", "omega", "sigma_power",
     "AdmissibilityReport", "BoundCertificate", "CaseResult", "admissibility_report",
-    "case_a", "case_b", "case_c", "cubic_map_degree", "divisor_bound_check",
+    "case_a", "case_b", "case_c", "divisor_bound_check",
     "fm_partner_count", "growth_exponent_estimate", "heegner_irr_exponent",
     "irr_bound_certificate", "kudla_irr_exponent", "sandwich_check",
 ]

@@ -43,13 +43,6 @@ def omega(n: int) -> int:
     return len(factorize(n))
 
 
-def num_divisors(n: int) -> int:
-    out = 1
-    for a in factorize(n).values():
-        out *= a + 1
-    return out
-
-
 def sigma_power(s: int, m: int) -> int:
     """Divisor power sum: sum of d^s over divisors d of m."""
     s = checked_int(s, "exponent", 0)
@@ -57,10 +50,6 @@ def sigma_power(s: int, m: int) -> int:
     for p, a in factorize(m).items():
         out *= sum(p ** (s * k) for k in range(a + 1))
     return out
-
-
-def is_squarefree(n: int) -> bool:
-    return all(a == 1 for a in factorize(n).values())
 
 
 def multiplicative_sieve(limit: int, at_prime_power: Callable[[int, int, int], int]) -> list[int]:

@@ -99,15 +99,6 @@ def case_c(d: int, n_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def cubic_map_degree(d: int) -> int:
-    """Degree of the moduli correspondence in the cubic route: 2 for d = 0
-    (mod 6), 1 for d = 2 (mod 6).  Requires case A admissibility."""
-    result = case_a(d)
-    if not result.ok:
-        raise ValueError(f"d = {d} is inadmissible for the cubic route: {result.reason}")
-    return 2 if d % 6 == 0 else 1
-
-
 def fm_partner_count(g: int) -> int:
     """Fourier-Mukai partner count 2^(omega(g-1) - 1), clamped to 1.
 
@@ -121,11 +112,6 @@ def fm_partner_count(g: int) -> int:
 def zeta_partial_sum(s: int, terms: int) -> Fraction:
     """Lower bound for zeta(s): the partial sum of 1/j^s up to `terms`."""
     return sum((Fraction(1, j**s) for j in range(1, terms + 1)), Fraction(0))
-
-
-def zeta_tail_bound(s: int, terms: int) -> Fraction:
-    """Integral-test bound for the tail sum beyond `terms`."""
-    return Fraction(1, (s - 1) * terms ** (s - 1))
 
 
 def _checked_range(pair, name: str) -> tuple[int, int]:
@@ -207,7 +193,7 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
             floor64 = (zlo.numerator << 64) // zlo.denominator
         if sigma[m] * zlo.denominator > zlo.numerator * mk:
             failures.append(m)
-    zhi = zlo + zeta_tail_bound(s, terms)
+    zhi = zlo + Fraction(1, (s - 1) * terms ** (s - 1))  # integral-test bound on the tail
     return SandwichReport(
         k=k,
         m_lo=m_lo,
@@ -400,7 +386,7 @@ def irr_bound_certificate(g: int, n_max: int = 10) -> BoundCertificate:
                 Route(
                     route="A",
                     exponent=heegner,
-                    multiplier=cubic_map_degree(d),
+                    multiplier=2 if d % 6 == 0 else 1,  # degree of the cubic moduli correspondence
                     constant="C",
                     indices=(cubic_heegner_index(d),),
                     source="cubic fourfold labelling route",

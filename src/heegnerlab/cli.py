@@ -31,7 +31,7 @@ from .cycles import (
     hk_heegner_index,
 )
 from .discriminant import discriminant_group
-from .lattices import NAMED_LATTICES, IntegerLattice, build_named_lattice, gram_determinant
+from .lattices import NAMED_LATTICES, IntegerLattice, build_named_lattice
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
 ENV_CAP = "HEEGNER_LAB_CAP"
@@ -140,7 +140,7 @@ def run_lattice_info(args) -> tuple[dict, int]:
     lattice = _named_lattice_from_args(args)
     group = discriminant_group(lattice, hard_cap=_hard_cap())
     doc = lattice.to_jsonable()
-    doc["det"] = gram_determinant(lattice)
+    doc["det"] = lattice.det
     doc["disc_group"] = group.to_jsonable()
     doc["disc_group"]["mode"] = group.q_mode
     doc["level"] = group.level

@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import ClassVar
 
 from .enumeration import first_primitive_vector
-from .intlinalg import checked_even, checked_int, checked_rows, symmetric_invariants
+from .intlinalg import checked_even, checked_int
 from .lattices import CACHE_SIZE, build_named_lattice, named_lattice, orthogonal_complement
 from .discriminant import discriminant_group
 
@@ -52,49 +52,6 @@ class HeegnerIndex:
 
     def to_jsonable(self) -> dict:
         return {"n": str(self.n), "gamma": self.gamma, "lattice": self.lattice_tag}
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Half-Gram matrix of a tuple of vectors.
-
-    Rank, determinant and inertia come from one cached symmetric
-    elimination; construction rejects a matrix that is not square and
-    symmetric.
-    """
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        checked_rows(self.entries, "entries")
-        self._invariants  # raises ValueError unless square and symmetric
-
-    @functools.cached_property
-    def _invariants(self) -> tuple:
-        return symmetric_invariants(self.entries)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def rank(self) -> int:
-        p, q, _, _ = self._invariants
-        return p + q
-
-    @property
-    def det(self) -> Fraction:
-        return Fraction(self._invariants[3])
-
-    @property
-    def is_positive_semidefinite(self) -> bool:
-        return self._invariants[1] == 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "entries": [[str(x) for x in row] for row in self.entries],
-            "rank": self.rank,
-        }
 
 
 @dataclass(frozen=True)
@@ -160,12 +117,6 @@ class EmbeddingWitness:
     image_primitive: bool
 
     @property
-    def moment(self) -> MomentMatrix:
-        """The complement Gram over 2, built when read."""
-        halves = tuple(tuple(Fraction(x, 2) for x in row) for row in self.complement_gram)
-        return MomentMatrix(entries=halves)
-
-    @property
     def det_check_passed(self) -> bool:
         return self.det_lhs == self.det_rhs
 
@@ -174,7 +125,11 @@ class EmbeddingWitness:
             "d": self.d,
             "image_basis": [list(v) for v in self.image_basis],
             "complement_gram": [list(row) for row in self.complement_gram],
-            "moment": self.moment.to_jsonable(),
+            # T = G / 2; orthogonal_complement refuses a degenerate G, so T has full rank
+            "moment": {
+                "entries": [[str(Fraction(x, 2)) for x in row] for row in self.complement_gram],
+                "rank": len(self.complement_gram),
+            },
             "det_check": {
                 "lhs": str(self.det_lhs),
                 "rhs": str(self.det_rhs),
@@ -220,16 +175,6 @@ def _gm_labellings(d: int) -> tuple[tuple[Gram, tuple[Fraction, ...], str], ...]
     raise ValueError(
         f"d = {d} has d = {r} (mod 8); the labelling exists only for d = 0, 2, or 4 (mod 8)"
     )
-
-
-def gm_labelling_gram(d: int) -> tuple[Gram, ...]:
-    """Labelling Gram matrices for the Gushel-Mukai locus of discriminant d.
-
-    One matrix for d = 0 or 4 (mod 8); the two-orbit pair for d = 2 (mod 8).
-    The corner entry is odd in the d = 2 (mod 8) case, so these are plain
-    symmetric integer matrices, not even lattices.
-    """
-    return tuple(gram for gram, _, _ in _gm_labellings(d))
 
 
 def _witness(gram: Gram, vec: tuple[Fraction, ...], d: int) -> LabellingWitness:

@@ -84,6 +84,14 @@ def checked_rows(x, name: str = "matrix") -> list[list]:
     return [checked_row(r, f"{name} row") for r in _listed(x, name, "rows")]
 
 
+def _checked_matrix(x) -> list[list[int]]:
+    """x as a list of integer rows of one length; ValueError otherwise."""
+    a = [[checked_int(e) for e in row] for row in checked_rows(x)]
+    if any(len(row) != len(a[0]) for row in a):  # a short row would shift a column
+        raise ValueError(f"matrix rows must have one length, got {[len(row) for row in a]}")
+    return a
+
+
 def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
     """Inertia (p, q, z) and determinant of a symmetric rational matrix.
 
@@ -148,11 +156,9 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     act on its first n rows and column operations on its first m columns, so
     it ends as [[S, U], [V, 0]].
     """
-    a = [[checked_int(x) for x in row] for row in checked_rows(mat)]
+    a = _checked_matrix(mat)
     n = len(a)
     m = len(a[0]) if n else 0
-    if any(len(row) != m for row in a):  # a short row would shift U's block
-        raise ValueError(f"matrix rows must have one length, got {[len(row) for row in a]}")
     w = [row + unit for row, unit in zip(a, identity(n))] + [unit + [0] * n for unit in identity(m)]
 
     def add_row(dst, src, c):
@@ -194,12 +200,6 @@ def smith_normal_form(mat: Matrix) -> tuple[list[list[int]], list[list[int]], li
     return [row[:m] for row in w[:n]], [row[m:] for row in w[:n]], [row[:m] for row in w[n:]]
 
 
-def elementary_divisors(mat: Matrix) -> list[int]:
-    """Nontrivial invariant factors (> 1) of an integer matrix."""
-    s, _, _ = smith_normal_form(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] > 1]
-
-
 def kernel_basis(mat: Matrix) -> list[list[int]]:
     """Basis of the integer (right) kernel {x : mat @ x = 0}.
 
@@ -209,7 +209,7 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     zero, with that part dropped, are the canonical HNF basis of the kernel
     (Cohen, GTM 138, 2.4).
     """
-    return _kernel_basis([[checked_int(x) for x in row] for row in checked_rows(mat)])
+    return _kernel_basis(_checked_matrix(mat))
 
 
 def _kernel_basis(a: list[list[int]]) -> list[list[int]]:
@@ -226,7 +226,7 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Pivots are positive, entries above a pivot are reduced to [0, pivot),
     and zero rows are dropped.
     """
-    return _hermite_row_basis([list(map(checked_int, r)) for r in checked_rows(rows)])
+    return _hermite_row_basis(_checked_matrix(rows))
 
 
 def _hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:

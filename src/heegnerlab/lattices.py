@@ -1,4 +1,4 @@
-"""Even integral lattices: construction, duals, complements, primitivity.
+"""Even integral lattices: construction, dual vectors, orthogonal complements.
 
 A lattice is presented by its Gram matrix of intersection numbers in a fixed
 basis.  All arithmetic is exact; signatures and determinants come from one
@@ -22,7 +22,6 @@ from .intlinalg import (
     checked_rows,
     identity,
     mat_vec,
-    smith_normal_form,
     symmetric_invariants,
 )
 
@@ -311,45 +310,6 @@ def direct_sum(*lattices: IntegerLattice) -> IntegerLattice:
     p = sum(l.signature[0] for l in lattices)
     q = sum(l.signature[1] for l in lattices)
     return IntegerLattice(gram=tuple(gram), signature=(p, q), det=prod(l.det for l in lattices))
-
-
-def twist(lattice: IntegerLattice) -> IntegerLattice:
-    """Twist by (-1): negate the pairing, swapping the signature."""
-    gram = tuple(tuple(-x for x in row) for row in checked_lattice(lattice).gram)
-    p, q = lattice.signature
-    return IntegerLattice(gram=gram, signature=(q, p), det=(-1) ** lattice.rank * lattice.det)
-
-
-def gram_determinant(lattice: IntegerLattice) -> int:
-    return checked_lattice(lattice).det
-
-
-def disc(lattice: IntegerLattice) -> int:
-    """|det Gram|, the discriminant in the unsigned convention."""
-    return abs(gram_determinant(lattice))
-
-
-def dual_basis(lattice: IntegerLattice) -> list[DualVector]:
-    """Dual basis vectors as rows of the inverse Gram matrix.
-
-    With S = U G V the Smith form, G^-1 = V S^-1 U; over the largest
-    invariant factor L, row i is sum_k V[i][k] (L / s_k) U[k].
-    """
-    s, u, v = smith_normal_form(checked_lattice(lattice).gram)
-    diag = [s[k][k] for k in range(lattice.rank)]
-    den = lcm(*diag)
-    if den == 0:
-        raise ValueError("dual basis requires a nondegenerate Gram matrix")
-    cols = list(zip(*([den // x * y for y in row] for x, row in zip(diag, u))))
-    return [DualVector.from_scaled(lattice, mat_vec(cols, row), den) for row in v]
-
-
-def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
-    """A nonzero lattice vector is primitive iff its coordinate gcd is 1."""
-    coords = checked_lattice(lattice).checked_vector(v)
-    if not any(coords):
-        raise ValueError("the zero vector is not primitive nor imprimitive")
-    return gcd(*coords) == 1
 
 
 def orthogonal_complement(

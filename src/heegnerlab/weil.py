@@ -43,7 +43,7 @@ class RelationCheck:
 
 @dataclass
 class WeilRepresentation:
-    """Generator matrices of the representation, plus level and weight.
+    """Generator matrices of the representation, plus level and weight 1 + m/2.
 
     Values are immutable after construction; nothing here mutates them.
     """
@@ -56,11 +56,6 @@ class WeilRepresentation:
     weight: int
 
 
-def weight_of(m: int) -> int:
-    """Modular weight 1 + m/2 attached to positive-inertia count m."""
-    return 1 + checked_even(m, "m", 2) // 2
-
-
 def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     """Construct the generator matrices for a discriminant group.
 
@@ -71,8 +66,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
 
     if not isinstance(group, DiscriminantGroup):
         raise ValueError(f"group must be a DiscriminantGroup, got {group!r}")
-    weight = weight_of(m)  # refuses any m but an even integer >= 2
-    m = int(m)
+    m = checked_even(m, "m", 2)
     dim = group.order
     if dim > DIM_CAP:
         raise ValueError(f"discriminant group order {dim} exceeds the dimension cap {DIM_CAP}")
@@ -91,7 +85,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
         s_matrix=s,
         t_matrix=t,
         level=group.level,
-        weight=weight,
+        weight=1 + m // 2,
     )
 
 

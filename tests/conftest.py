@@ -6,7 +6,8 @@ filters by exact norm, with no tree pruning involved.  The elimination
 oracles (Bareiss determinant, Gauss-Jordan rank, inverse and inertia over
 Fraction) are the routines that `intlinalg.symmetric_invariants` replaced,
 kept here to check it.  `moment_matrix` is the half-Gram of a tuple of dual
-vectors, paired one by one, the oracle for `EmbeddingWitness.moment`.
+vectors, paired one by one, as plain Fractions: the oracle for the moment
+block that `EmbeddingWitness.to_jsonable` writes.
 `recursive_lex_stream` is the nested-generator Fincke-Pohst traversal that
 the flat loop of `enumeration.lex_stream` replaced, kept as its slow path: it
 scans every leaf interval instead of solving for the last coordinate.
@@ -33,7 +34,6 @@ if str(SRC) not in sys.path:
 
 from heegnerlab.enumeration import _exact_norm
 from heegnerlab.intlinalg import Matrix, checked_int, checked_rows, identity
-from heegnerlab.cycles import MomentMatrix
 from heegnerlab.lattices import DualVector, IntegerLattice, make_lattice
 
 
@@ -248,7 +248,7 @@ def symmetric_signature(mat) -> tuple[int, int, int]:
     return p, q, z
 
 
-def moment_matrix(vectors) -> MomentMatrix:
+def moment_matrix(vectors) -> tuple[tuple[Fraction, ...], ...]:
     """Half-Gram matrix of a tuple of vectors from one ambient lattice."""
     vectors = list(vectors)
     if not all(isinstance(v, DualVector) for v in vectors):
@@ -257,7 +257,7 @@ def moment_matrix(vectors) -> MomentMatrix:
         ambient = vectors[0].lattice
         if any(v.lattice != ambient for v in vectors[1:]):
             raise ValueError("moment matrix requires vectors from a single ambient lattice")
-    return MomentMatrix(entries=tuple(tuple(vi.pairing(vj) / 2 for vj in vectors) for vi in vectors))
+    return tuple(tuple(vi.pairing(vj) / 2 for vj in vectors) for vi in vectors)
 
 
 def recursive_lex_stream(lattice: IntegerLattice, norm, num=None, den: int = 1):

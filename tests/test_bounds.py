@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,7 @@ import pytest
 from heegnerlab.arith import (
     divisor_sigma_sieve,
     factorize,
-    is_squarefree,
     multiplicative_sieve,
-    num_divisors,
     omega,
     sigma_power,
 )
@@ -20,7 +19,6 @@ from heegnerlab.bounds import (
     case_a,
     case_b,
     case_c,
-    cubic_map_degree,
     divisor_bound_check,
     fm_partner_count,
     growth_exponent_estimate,
@@ -29,7 +27,6 @@ from heegnerlab.bounds import (
     kudla_irr_exponent,
     sandwich_check,
     zeta_partial_sum,
-    zeta_tail_bound,
 )
 from heegnerlab.cycles import hk_heegner_index
 
@@ -102,21 +99,26 @@ def test_case_c():
 
 
 def test_cubic_map_degree():
-    assert cubic_map_degree(26) == 1
-    assert cubic_map_degree(42) == 2
-    with pytest.raises(ValueError, match="inadmissible"):
-        cubic_map_degree(8)
+    """Route A's multiplier is the degree of the cubic moduli correspondence:
+    2 for d = 0 (mod 6), 1 for d = 2 (mod 6); no route A off case A."""
+    for g in range(2, 400):
+        d = 2 * g - 2
+        routes = [r for r in irr_bound_certificate(g).routes if r.route == "A"]
+        if d >= THEOREM_RANGE_MIN_D and case_a(d):
+            (route,) = routes
+            assert route.multiplier == (2 if d % 6 == 0 else 1)
+        else:
+            assert not routes
 
 
 def test_arithmetic_functions():
     assert omega(12) == 2
-    assert num_divisors(12) == 6
     assert sigma_power(1, 6) == 12
     assert sigma_power(0, 12) == 6
     for k in (0, 1, 5):
         assert sigma_power(k, 1) == 1
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert is_squarefree(30) and not is_squarefree(12)
+    assert factorize(30) == {2: 1, 3: 1, 5: 1} and factorize(12) == {2: 2, 3: 1}
     with pytest.raises(ValueError, match="positive"):
         omega(0)
     with pytest.raises(ValueError, match="bound"):
@@ -159,8 +161,8 @@ def test_divisor_sigma_sieve_matches_double_loop_and_sigma_power():
 # f(p^e) from (f(p^(e-1)), p^e, p), each with its trial-division oracle
 MULTIPLICATIVE_RULES = {
     "omega": (lambda prev, pk, p: 2, lambda n: 2 ** omega(n)),
-    "divisor_count": (lambda prev, pk, p: prev + 1, num_divisors),
-    "squarefree": (lambda prev, pk, p: int(pk == p), lambda n: int(is_squarefree(n))),
+    "divisor_count": (lambda prev, pk, p: prev + 1, lambda n: sigma_power(0, n)),
+    "squarefree": (lambda prev, pk, p: int(pk == p), lambda n: int(set(factorize(n).values()) <= {1})),
 }
 
 
@@ -212,7 +214,7 @@ def slow_sandwich_check(k, m_range):
         m_hi=m_hi,
         zeta_terms=terms,
         zeta_lower=float(zlo),
-        zeta_upper=float(zlo + zeta_tail_bound(s, terms)),
+        zeta_upper=float(zlo + Fraction(1, (s - 1) * terms ** (s - 1))),
         failures=tuple(failures),
     )
 
@@ -224,10 +226,10 @@ def test_sandwich_check_matches_unfiltered_loop(m_range):
 
 
 def test_zeta_bounds_bracket():
-    lo = zeta_partial_sum(2, 200)
-    hi = lo + zeta_tail_bound(2, 200)
-    true_zeta2 = 1.6449340668482264
-    assert float(lo) < true_zeta2 < float(hi)
+    """The partial sum and the integral-test tail bound bracket zeta(k - 1)."""
+    for k, zeta in ((3, math.pi**2 / 6), (4, 1.2020569031595942), (5, math.pi**4 / 90), (7, math.pi**6 / 945)):
+        report = sandwich_check(k, (1, 200))
+        assert report.zeta_lower < zeta < report.zeta_upper
 
 
 def test_equality_at_m_equals_one():
@@ -248,8 +250,8 @@ def test_divisor_bound_small():
     assert report.passed
     assert report.squarefree_equality_holds
     for n in (1, 6, 30, 210):
-        assert 2 ** omega(n) == num_divisors(n)
-    assert 2 ** omega(12) < num_divisors(12)
+        assert 2 ** omega(n) == sigma_power(0, n)
+    assert 2 ** omega(12) < sigma_power(0, 12)
 
 
 def test_exponents():

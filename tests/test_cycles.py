@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from heegnerlab.cycles import (
     HKIndexFamily,
     HeegnerIndex,
-    MomentMatrix,
     cubic_heegner_index,
     embed_k3_lattice,
     gm_heegner_index,
-    gm_labelling_gram,
     gm_residue_vector,
     hk_heegner_index,
 )
 from heegnerlab.discriminant import discriminant_group
-from heegnerlab.intlinalg import elementary_divisors, identity
-from heegnerlab.lattices import DualVector, build_named_lattice, dual_basis, make_lattice, orthogonal_complement
+from heegnerlab.intlinalg import identity, smith_normal_form, symmetric_invariants
+from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice, orthogonal_complement
 
-from conftest import bareiss_determinant, fraction_determinant, moment_matrix, symmetric_signature
+from conftest import bareiss_determinant, fraction_determinant, invert_rational, moment_matrix, symmetric_signature
 
 
 def test_cubic_index_examples():
@@ -45,22 +43,22 @@ def test_cubic_indices_live_in_third_integers():
 
 
 def test_gm_labelling_grams():
-    (k8,) = gm_labelling_gram(8)
+    (k8,) = (w.gram for w in gm_residue_vector(8))
     assert k8 == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    (k12,) = gm_labelling_gram(12)
+    (k12,) = (w.gram for w in gm_residue_vector(12))
     assert k12 == ((2, 0, 1), (0, 2, 1), (1, 1, 4))
-    kp, kpp = gm_labelling_gram(10)
+    kp, kpp = (w.gram for w in gm_residue_vector(10))
     assert kp == ((2, 0, 1), (0, 2, 0), (1, 0, 3))
     assert kpp == ((2, 0, 0), (0, 2, 1), (0, 1, 3))
     with pytest.raises(ValueError, match="mod 8"):
-        gm_labelling_gram(6)
+        gm_residue_vector(6)
 
 
 def test_gm_labelling_discriminants():
     for d in range(8, 400):
         if d % 8 in (0, 2, 4):
-            for gram in gm_labelling_gram(d):
-                assert bareiss_determinant(gram) == d
+            for w in gm_residue_vector(d):
+                assert bareiss_determinant(w.gram) == d
 
 
 def test_gm_residue_vectors_examples():
@@ -112,7 +110,7 @@ def test_gm_gamma_is_the_half_pattern_of_the_residue_vector():
             continue
         witnesses = gm_residue_vector(d)
         indices = gm_heegner_index(d)
-        assert len(witnesses) == len(indices) == len(gm_labelling_gram(d))
+        assert len(witnesses) == len(indices) == (2 if d % 8 == 2 else 1)
         for w, idx in zip(witnesses, indices):
             pattern = tuple(c == Fraction(-1, 2) for c in w.residue_vector[:2])
             assert idx.gamma == labels[pattern]
@@ -136,14 +134,10 @@ def test_hk_index_families():
 def test_moment_matrix_basics():
     e8 = build_named_lattice("E8")
     basis = [DualVector(e8, tuple(Fraction(int(i == j)) for j in range(8))) for i in range(8)]
-    full = moment_matrix(basis)
-    assert full.rank == 8
-    assert full.det == Fraction(1, 256)
-    assert full.is_positive_semidefinite
-    single = moment_matrix([basis[0]])
-    assert single.entries == ((Fraction(1),),)
+    assert symmetric_invariants(moment_matrix(basis)) == (8, 0, 0, Fraction(1, 256))
+    assert moment_matrix([basis[0]]) == ((Fraction(1),),)
     empty = moment_matrix([])
-    assert empty.size == 0 and empty.rank == 0 and empty.det == 1
+    assert empty == () and symmetric_invariants(empty) == (0, 0, 0, 1)
 
 
 def test_moment_matrix_mixed_lattices_rejected():
@@ -156,20 +150,21 @@ def test_moment_matrix_mixed_lattices_rejected():
 
 
 def test_moment_matrix_must_be_square_and_symmetric():
+    """Moment-matrix rank, det and inertia come from symmetric_invariants,
+    which refuses a matrix that is not square and symmetric."""
     with pytest.raises(ValueError, match="square and symmetric"):
-        MomentMatrix(entries=((1, 2), (0, 1)))
+        symmetric_invariants(((1, 2), (0, 1)))
     with pytest.raises(ValueError, match="square and symmetric"):
-        MomentMatrix(entries=((1, 2),))
+        symmetric_invariants(((1, 2),))
     half = Fraction(1, 2)
-    mm = MomentMatrix(entries=((1, half), (half, 1)))
-    assert (mm.rank, mm.det, mm.is_positive_semidefinite) == (2, Fraction(3, 4), True)
+    assert symmetric_invariants(((1, half), (half, 1))) == (2, 0, 0, Fraction(3, 4))
 
 
 def test_moment_of_norm_2n_vector():
     e8 = build_named_lattice("E8")
-    for v in dual_basis(e8)[:2]:
-        mm = moment_matrix([v])
-        assert mm.entries[0][0] == v.norm() / 2
+    for row in invert_rational(e8.gram)[:2]:
+        v = DualVector(e8, row)
+        assert moment_matrix([v])[0][0] == v.norm() / 2
 
 
 def test_embed_examples():
@@ -193,9 +188,9 @@ def test_embed_witness_properties_sweep():
         assert len(wit.complement_basis) == 7
         basis = wit.complement_basis
         assert wit.complement_gram == tuple(tuple(sharp.pairing(bi, bj) for bj in basis) for bi in basis)
-        assert wit.moment == moment_matrix([DualVector.from_scaled(sharp, b) for b in basis])
-        assert wit.moment.rank == 7
-        assert wit.moment.is_positive_semidefinite
+        moment = moment_matrix([DualVector.from_scaled(sharp, b) for b in basis])
+        assert wit.to_jsonable()["moment"] == {"entries": [[str(x) for x in row] for row in moment], "rank": 7}
+        assert symmetric_invariants(wit.complement_gram)[:3] == (7, 0, 0)
         assert wit.det_lhs == Fraction(d, 128)
         for img in wit.image_basis:
             for comp in wit.complement_basis:
@@ -218,7 +213,8 @@ def test_embed_matches_the_28_dim_complement():
         assert wit.complement_basis == tuple(basis)
         assert wit.complement_gram == complement.gram
         assert complement.signature == (7, 0) == symmetric_signature(wit.complement_gram)[:2]
-        assert wit.image_primitive == (elementary_divisors([list(v) for v in wit.image_basis]) == [])
+        s, _, _ = smith_normal_form(wit.image_basis)
+        assert wit.image_primitive == all(s[i][i] == 1 for i in range(21))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -238,8 +234,9 @@ def test_spare_e8_complement_is_the_28_dim_complement(w, k):
     assert basis == [_pad(b) for b in spare]
     assert complement.gram == spare_complement.gram
     assert complement.signature == spare_complement.signature == (7, 0)
-    expected = [k] if k > 1 else []
-    assert elementary_divisors(image) == elementary_divisors([[k * x for x in w]]) == expected
+    s, _, _ = smith_normal_form(image)
+    assert [s[i][i] for i in range(21)] == [1] * 20 + [k]
+    assert smith_normal_form([[k * x for x in w]])[0][0][0] == k
 
 
 def test_embed_det_is_basis_independent():
@@ -275,13 +272,11 @@ def test_index_serialization():
 
 def test_moment_subtuple_is_principal_submatrix():
     e8 = build_named_lattice("E8")
-    vectors = dual_basis(e8)
+    vectors = [DualVector(e8, row) for row in invert_rational(e8.gram)]
     full = moment_matrix(vectors)
     picks = [0, 2, 5]
     sub = moment_matrix([vectors[i] for i in picks])
-    principal = MomentMatrix(entries=tuple(tuple(full.entries[i][j] for j in picks) for i in picks))
-    assert sub.entries == principal.entries
-    assert sub.rank == principal.rank
+    assert sub == tuple(tuple(full[i][j] for j in picks) for i in picks)
 
 
 def test_gm_residue_class_consistency():
@@ -311,7 +306,6 @@ _NON_INTEGER_CALLS = [
     (hk_heegner_index, (7, 1, 20.5), "d"),
     (cubic_heegner_index, (8.9,), "d"),
     (gm_heegner_index, (10.5,), "d"),
-    (gm_labelling_gram, (10.5,), "d"),
     (gm_residue_vector, (10.5,), "d"),
 ]
 
@@ -328,7 +322,7 @@ def test_non_integer_parameters_are_refused(fn, args, name):
 
 def test_integral_float_parameters_still_work():
     assert embed_k3_lattice(14.0) == embed_k3_lattice(14)
-    assert gm_labelling_gram(10.0) == gm_labelling_gram(10)
+    assert gm_residue_vector(10.0) == gm_residue_vector(10)
     assert hk_heegner_index(7.0, 1, 20.0) == hk_heegner_index(7, 1, 20)
 
 
@@ -369,19 +363,19 @@ def test_kudla_complement_discriminant_form_is_minus_rank1():
 
 def test_integer_det_matches_the_fraction_moment_route():
     """Fast path == slow path: det(T) from the integer complement Gram against
-    the eliminated Fraction half-Gram, and the on-demand moment against
-    moment_matrix of the padded complement vectors."""
+    the eliminated Fraction half-Gram, and the half-Gram against moment_matrix
+    of the padded complement vectors."""
     sharp = build_named_lattice("Lambda_sharp")
     for d in range(2, 601, 2):
         wit = embed_k3_lattice(d)
         halves = tuple(tuple(Fraction(x, 2) for x in row) for row in wit.complement_gram)
-        assert wit.det_lhs == MomentMatrix(entries=halves).det == Fraction(d, 2**7)
-        assert wit.moment.rank == 7
-        assert wit.moment == moment_matrix([DualVector.from_scaled(sharp, b) for b in wit.complement_basis])
+        assert symmetric_invariants(halves) == (7, 0, 0, wit.det_lhs)
+        assert wit.det_lhs == Fraction(d, 2**7)
+        assert halves == moment_matrix([DualVector.from_scaled(sharp, b) for b in wit.complement_basis])
 
 
 def test_certificate_path_runs_one_integer_elimination(monkeypatch):
-    from heegnerlab import cycles, intlinalg, lattices
+    from heegnerlab import intlinalg, lattices
 
     grams = []
 
@@ -390,7 +384,6 @@ def test_certificate_path_runs_one_integer_elimination(monkeypatch):
         return intlinalg.symmetric_invariants(mat)
 
     monkeypatch.setattr(lattices, "symmetric_invariants", counting)
-    monkeypatch.setattr(cycles, "symmetric_invariants", counting)
     wit = embed_k3_lattice(2 * 777_777)
     assert grams == [wit.complement_gram]
     assert wit.det_check_passed

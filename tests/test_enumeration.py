@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heegnerlab.discriminant import discriminant_group
 from heegnerlab.enumeration import _decompose, enumerate_by_norm, first_primitive_vector, lex_stream
-from heegnerlab.lattices import CACHE_SIZE, DualVector, build_named_lattice, is_primitive, make_lattice
+from heegnerlab.lattices import CACHE_SIZE, DualVector, build_named_lattice, make_lattice
 
 from conftest import box_norm_table, invert_rational, random_positive_definite_lattice, recursive_lex_stream
 
@@ -99,7 +99,7 @@ def test_first_primitive_matches_filtered_enumeration():
         prims = [
             tuple(int(c) for c in v.coords)
             for v in full
-            if is_primitive(e8, [int(c) for c in v.coords])
+            if math.gcd(*v.num) == 1
         ]
         assert first_primitive_vector(e8, d) == prims[0]
 
@@ -110,7 +110,7 @@ def test_first_primitive_exists_for_even_norms():
         v = first_primitive_vector(e8, d)
         assert v is not None
         assert e8.pairing(v, v) == d
-        assert is_primitive(e8, v)
+        assert math.gcd(*v) == 1
 
 
 def test_enumeration_deterministic():

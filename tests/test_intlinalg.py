@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heegnerlab.intlinalg import (
-    elementary_divisors,
     hermite_row_basis,
     kernel_basis,
     smith_normal_form,
@@ -87,15 +86,16 @@ def test_smith_normal_form_matches_the_oracle_on_named_grams():
 
 
 def test_ragged_rows_are_refused():
-    for ragged in ([[1, 2], [3]], [[2], [3, 4]]):
-        with pytest.raises(ValueError, match="rows must have one length"):
-            smith_normal_form(ragged)
+    for ragged in ([[1, 2], [3]], [[2], [3, 4]], [[0], [3, 4]]):
+        for fn in (smith_normal_form, kernel_basis, hermite_row_basis):
+            with pytest.raises(ValueError, match="rows must have one length"):
+                fn(ragged)
 
 
 def test_elementary_divisors_examples():
-    assert elementary_divisors([[2, 0], [0, 3]]) == [6]
-    assert elementary_divisors([[1, 0], [0, 1]]) == []
-    assert elementary_divisors([[2, 0], [0, 2]]) == [2, 2]
+    for mat, diagonal in (([[2, 0], [0, 3]], [1, 6]), ([[1, 0], [0, 1]], [1, 1]), ([[2, 0], [0, 2]], [2, 2])):
+        s, _, _ = smith_normal_form(mat)
+        assert [s[0][0], s[1][1]] == diagonal
 
 
 def test_kernel_basis_is_saturated_kernel():
@@ -110,7 +110,8 @@ def test_kernel_basis_is_saturated_kernel():
         if basis:
             assert hermite_row_basis(basis) == basis
             assert rational_rank(basis) == len(basis)
-            assert all(x == 1 for x in elementary_divisors(basis))
+            s, _, _ = smith_normal_form(basis)
+            assert all(s[i][i] == 1 for i in range(len(basis)))
 
 
 def test_hermite_row_basis_canonical():
@@ -216,7 +217,7 @@ def test_symmetric_invariants_match_the_fraction_oracles(mat):
 
 def test_non_integer_entries_are_refused():
     with pytest.raises(ValueError, match="entry must be an integer, got 2.5"):
-        elementary_divisors([[2.5, 0], [0, 3]])
+        smith_normal_form([[2.5, 0], [0, 3]])
     with pytest.raises(ValueError, match="entry must be an integer, got 1.5"):
         hermite_row_basis([[1.5, 2]])
     with pytest.raises(ValueError, match="entry must be an integer, got 1/2"):
@@ -225,5 +226,5 @@ def test_non_integer_entries_are_refused():
         smith_normal_form([[True]])
     with pytest.raises(ValueError, match="entry must be an integer, got 0.5"):
         kernel_basis([[0.5, 1]])
-    assert elementary_divisors([[2.0, 0], [0, 3]]) == [6]
+    assert smith_normal_form([[2.0, 0], [0, 3]])[0] == [[1, 0], [0, 6]]
     assert hermite_row_basis([[Fraction(2), 4.0]]) == [[2, 4]]

@@ -10,17 +10,12 @@ from heegnerlab.lattices import (
     DualVector,
     build_named_lattice,
     direct_sum,
-    disc,
-    dual_basis,
-    gram_determinant,
-    is_primitive,
     make_lattice,
     named_lattice,
     orthogonal_complement,
-    twist,
 )
 
-from conftest import bareiss_determinant, invert_rational, random_even_gram, random_positive_definite_lattice
+from conftest import bareiss_determinant, random_even_gram, random_positive_definite_lattice
 
 
 def test_hyperbolic_plane():
@@ -40,7 +35,7 @@ def test_named_signatures_match_their_families():
 def test_lambda_c_shape():
     lam = build_named_lattice("Lambda_C")
     assert lam.rank == 22
-    assert gram_determinant(lam) == 3
+    assert lam.det == 3
     # leading block is the hexagonal one
     assert lam.gram[0][:2] == (2, -1)
 
@@ -83,40 +78,29 @@ def test_direct_sum_signature_additivity():
     e8 = build_named_lattice("E8")
     sharp = direct_sum(e8, e8, e8, u, u)
     assert sharp.gram == build_named_lattice("Lambda_sharp").gram
-    assert abs(gram_determinant(sharp)) == 1
+    assert abs(sharp.det) == 1
     mixed = direct_sum(build_named_lattice("A2"), build_named_lattice("rank1", 2))
     assert mixed.rank == 3
-    assert gram_determinant(mixed) == 6
+    assert mixed.det == 6
 
 
 def test_twist():
-    u = build_named_lattice("U")
-    tu = twist(u)
-    assert tu.gram == ((0, -1), (-1, 0))
-    assert tu.signature == (1, 1)
-    a2 = build_named_lattice("A2")
-    ta2 = twist(a2)
-    assert ta2.gram[0][0] == -2 and ta2.signature == (0, 2)
-    assert twist(ta2).gram == a2.gram
+    """The twist by -1, make_lattice on the negated Gram, swaps the signature
+    and multiplies the determinant by (-1)^rank."""
+    for name in ("U", "A2", "E8", "Lambda_C", "Lambda_HK"):
+        lattice = build_named_lattice(name)
+        twisted = make_lattice([[-x for x in row] for row in lattice.gram])
+        assert twisted.signature == lattice.signature[::-1]
+        assert twisted.det == (-1) ** lattice.rank * lattice.det
 
 
 def test_determinants():
-    assert gram_determinant(build_named_lattice("rank1", 10)) == 10
+    assert build_named_lattice("rank1", 10).det == 10
     for d in (2, 14, 50):
-        assert disc(build_named_lattice("Lambda_d", d)) == d
-    assert abs(gram_determinant(build_named_lattice("Lambda_sharp"))) == 1
-    assert gram_determinant(build_named_lattice("Lambda_GM")) == 4
-    assert disc(build_named_lattice("Lambda_HK")) == 2
-
-
-def test_dual_basis_pairing_identity():
-    for name in ("A2", "E8", "U"):
-        lat = build_named_lattice(name)
-        duals = dual_basis(lat)
-        for i, v in enumerate(duals):
-            for j in range(lat.rank):
-                basis_j = tuple(int(i2 == j) for i2 in range(lat.rank))
-                assert v.pairing(basis_j) == (1 if i == j else 0)
+        assert abs(build_named_lattice("Lambda_d", d).det) == d
+    assert abs(build_named_lattice("Lambda_sharp").det) == 1
+    assert build_named_lattice("Lambda_GM").det == 4
+    assert abs(build_named_lattice("Lambda_HK").det) == 2
 
 
 def test_dual_vectors_of_different_lattices_do_not_pair():
@@ -130,23 +114,12 @@ def test_dual_vectors_of_different_lattices_do_not_pair():
         v.pairing(u)
 
 
-def test_dual_basis_values():
-    r = build_named_lattice("rank1", 10)
-    (v,) = dual_basis(r)
-    assert v.coords == (Fraction(1, 10),)
-    assert v.norm() == Fraction(1, 10)
-    e8 = build_named_lattice("E8")
-    assert all(v.in_lattice() for v in dual_basis(e8))
-    a2 = build_named_lattice("A2")
-    assert [v.norm() for v in dual_basis(a2)] == [Fraction(2, 3), Fraction(2, 3)]
-
-
 def test_orthogonal_complement_root_in_e8():
     e8 = build_named_lattice("E8")
     root = enumerate_by_norm(e8, 2)[0]
     comp, basis = orthogonal_complement(e8, [tuple(int(c) for c in root.coords)])
     assert comp.rank == 7
-    assert abs(gram_determinant(comp)) == 2
+    assert abs(comp.det) == 2
     assert len(basis) == 7
     for b in basis:
         assert e8.pairing(b, [int(c) for c in root.coords]) == 0
@@ -179,7 +152,7 @@ def test_vector_length_must_match_rank():
         with pytest.raises(ValueError, match=f"length {len(bad)} in a lattice of rank 8"):
             orthogonal_complement(e8, [bad])
         with pytest.raises(ValueError, match="rank 8"):
-            is_primitive(e8, bad)
+            DualVector(e8, bad)
         with pytest.raises(ValueError, match="rank 8"):
             e8.pairing(bad, (1,) * 8)
         with pytest.raises(ValueError, match="rank 8"):
@@ -195,24 +168,13 @@ def test_complement_disc_matches_sublattice_in_unimodular():
     for d in range(2, 61, 2):
         v = first_primitive_vector(e8, d)
         comp, _ = orthogonal_complement(e8, [v])
-        assert abs(gram_determinant(comp)) == d
-
-
-def test_is_primitive():
-    e8 = build_named_lattice("E8")
-    assert is_primitive(e8, (1, 0, 0, 0, 0, 0, 0, 0))
-    assert not is_primitive(e8, (2, 0, 2, 0, 0, 0, 0, 0))
-    v14 = first_primitive_vector(e8, 14)
-    assert is_primitive(e8, v14)
-    assert not is_primitive(e8, tuple(2 * c for c in v14))
-    with pytest.raises(ValueError):
-        is_primitive(e8, (0,) * 8)
+        assert abs(comp.det) == d
 
 
 def test_lattice_caches_stay_bounded():
     extra = CACHE_SIZE + 8
     for d in range(2, 2 * extra + 1, 2):
-        gram_determinant(build_named_lattice("rank1", d))
+        build_named_lattice("rank1", d)
     for n in range(1, extra + 1):
         _tag_level(f"Lambda_HK_prim({n},1)")
     for d in range(2, 2 * extra + 1, 2):
@@ -228,10 +190,11 @@ def test_integer_entries_are_checked_not_truncated():
     half = (Fraction(1, 2),) + (0,) * 7
     with pytest.raises(ValueError, match="1.5"):
         make_lattice([[2, 1.5], [1.5, 2]])
+    e1 = (1,) + (0,) * 7
     with pytest.raises(ValueError, match="1/2"):
-        is_primitive(e8, (Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0))
+        e8.pairing((Fraction(1, 2), 1, 0, 0, 0, 0, 0, 0), e1)
     with pytest.raises(ValueError, match="2.7"):
-        is_primitive(e8, (2.7, 1, 0, 0, 0, 0, 0, 0))
+        e8.pairing((2.7, 1, 0, 0, 0, 0, 0, 0), e1)
     with pytest.raises(ValueError, match="1/2"):
         orthogonal_complement(e8, [half])
     with pytest.raises(ValueError, match="2.5"):
@@ -240,26 +203,7 @@ def test_integer_entries_are_checked_not_truncated():
         make_lattice([["2"]])
     # Integral values of another type are integers.
     assert make_lattice([[Fraction(2)]]).gram == ((2,),)
-    assert is_primitive(e8, (Fraction(1), 0, 0, 0, 0, 0, 0, 0))
-
-
-NAMED_FIXED = ("U", "A1", "A2", "E8", "Lambda_C", "Lambda_GM", "Lambda_HK", "Lambda_sharp")
-
-
-def test_dual_basis_is_the_inverse_gram(rng):
-    lattices = [build_named_lattice(name) for name in NAMED_FIXED]
-    lattices += [
-        build_named_lattice("rank1", 2000002),
-        build_named_lattice("Lambda_HK_prim", 7, 1),
-        build_named_lattice("Lambda_HK_prim", 3, 2),
-        build_named_lattice("Lambda_d", 14),
-    ]
-    lattices += [random_even_gram(rng, rng.randint(1, 6)) for _ in range(300)]
-    for lattice in lattices:
-        inverse = [DualVector(lattice, row) for row in invert_rational(lattice.gram)]
-        assert dual_basis(lattice) == inverse
-    empty = make_lattice([])
-    assert dual_basis(empty) == []
+    assert e8.pairing((Fraction(1), 0, 0, 0, 0, 0, 0, 0), e1) == 2
 
 
 # Valid parameters for every table entry; a new entry needs samples here.
@@ -290,7 +234,7 @@ def test_carried_determinant_matches_the_bareiss_oracle(rng):
     randoms = [random_even_gram(rng, rng.randint(1, 6)) for _ in range(200)]
     lattices += randoms
     lattices += [direct_sum(*rng.sample(randoms, rng.randint(0, 3))) for _ in range(50)]
-    lattices += [twist(l) for l in lattices[-100:]]
+    lattices += [make_lattice([[-x for x in row] for row in l.gram]) for l in lattices[-100:]]
     assert {l.rank % 2 for l in lattices[-100:]} == {0, 1}
     for _ in range(50):
         ambient = random_positive_definite_lattice(rng, rng.randint(2, 6))

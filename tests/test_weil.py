@@ -10,7 +10,6 @@ from heegnerlab.weil import (
     build_weil_rep,
     relations_pass,
     verify_sl2_relations,
-    weight_of,
 )
 
 from conftest import random_even_gram, t_matrix_order
@@ -109,13 +108,14 @@ def test_t_entries_unit_modulus():
 
 
 def test_weight_of():
-    assert weight_of(20) == 11
-    assert weight_of(26) == 14
-    assert weight_of(2) == 2
+    """The weight is 1 + m/2, for an even m >= 2 only."""
+    group = discriminant_group(build_named_lattice("rank1", 10))
+    for m, weight in ((20, 11), (26, 14), (2, 2)):
+        assert build_weil_rep(group, m).weight == weight
     with pytest.raises(ValueError, match="even"):
-        weight_of(19)
+        build_weil_rep(group, 19)
     with pytest.raises(ValueError, match="at least 2"):
-        weight_of(0)
+        build_weil_rep(group, 0)
 
 
 def test_build_rejections():
@@ -143,10 +143,7 @@ def test_relation_report_shape():
 def test_m_is_checked_as_an_integer():
     group = discriminant_group(build_named_lattice("Lambda_C"))
     with pytest.raises(ValueError, match="m must be an integer"):
-        weight_of("20")
-    with pytest.raises(ValueError, match="m must be an integer"):
         build_weil_rep(group, "20")
-    assert weight_of(20.0) == 11 and type(weight_of(20.0)) is int
     rep = build_weil_rep(group, 20.0)
     assert (rep.m, rep.weight) == (20, 11) and type(rep.m) is int and type(rep.weight) is int
 
