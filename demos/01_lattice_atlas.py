@@ -41,7 +41,7 @@ print()
 print("q-values on the Gushel-Mukai period lattice ((Z/2)^2 group):")
 group = discriminant_group(build_named_lattice("Lambda_GM"))
 for elem in group.elements():
-    print(f"  {group.element_key(elem)}: q = {group.q(elem)}")
+    print(f"  {','.join(map(str, elem))}: q = {group.q(elem)}")
 
 print()
 print("Split hyperkaehler families: discriminant group Z/2 x Z/2n, level 4n")

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure or failed internal check,
 2 usage or precondition error.
 Payloads contain no timestamps, so identical invocations are byte-identical;
-`--meta` wraps the payload in a separate metadata envelope.
+`--meta` wraps a JSON payload in a separate metadata envelope.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .cycles import (
     hk_heegner_index,
 )
 from .discriminant import discriminant_group
+from .intlinalg import checked_int
 from .lattices import NAMED_LATTICES, IntegerLattice, build_named_lattice
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
@@ -38,10 +39,6 @@ ENV_CAP = "HEEGNER_LAB_CAP"
 OUTPUT_FLAGS = ("--format", "--out", "--meta")  # the options of every leaf command
 # --d/--n/--delta: every named-lattice parameter, in order of first use
 _PARAM_FLAGS = tuple(dict.fromkeys(p for takes in NAMED_LATTICES.values() for p in takes))
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,11 +102,11 @@ def _named_lattice_from_args(args) -> IntegerLattice:
     name = args.name
     takes = NAMED_LATTICES.get(name, ())
     if any(getattr(args, flag) is None for flag in takes):
-        raise UsageError(f"{name} requires {' and '.join('--' + flag for flag in takes)}")
+        raise ValueError(f"{name} requires {' and '.join('--' + flag for flag in takes)}")
     if name in NAMED_LATTICES:
         for flag in _PARAM_FLAGS:
             if flag not in takes and getattr(args, flag) is not None:
-                raise UsageError(f"{name} takes no --{flag}")
+                raise ValueError(f"{name} takes no --{flag}")
     return build_named_lattice(name, *(getattr(args, flag) for flag in takes))
 
 
@@ -122,7 +119,7 @@ def _hard_cap() -> int | None:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise UsageError(f"{ENV_CAP} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{ENV_CAP} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -130,9 +127,9 @@ def _parse_range(text: str) -> range:
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError as exc:
-        raise UsageError(f"range must look like A:B, got {text!r}") from exc
+        raise ValueError(f"range must look like A:B, got {text!r}") from exc
     if lo > hi:
-        raise UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -151,7 +148,7 @@ def run_weil_check(args) -> tuple[dict, int]:
     lattice = _named_lattice_from_args(args)
     p, q = lattice.signature
     if q != 2 or p % 2 != 0:
-        raise UsageError(
+        raise ValueError(
             f"weil check needs signature (m, 2) with m even; {lattice.name} has {lattice.signature}"
         )
     group = discriminant_group(lattice, hard_cap=_hard_cap())
@@ -202,9 +199,11 @@ def _sweep(text: str, make):
 def run_admissible(args) -> tuple[object, int]:
     if args.d is not None:
         return admissibility_report(args.d, args.n_max), 0
-    if args.g is not None:
-        return admissibility_report(2 * args.g - 2, args.n_max), 0
-    return _sweep(args.g_range, lambda g: (admissibility_report(2 * g - 2, args.n_max), 0)), 0
+
+    def reported(g):
+        return admissibility_report(2 * checked_int(g, "g", 2) - 2, args.n_max), 0
+
+    return reported(args.g) if args.g is not None else (_sweep(args.g_range, reported), 0)
 
 
 def run_bound(args) -> tuple[object, int]:
@@ -227,7 +226,7 @@ def run_growth(args) -> tuple[object, int]:
             raw = fh.read()
     series = json.loads(raw)
     if not isinstance(series, list):
-        raise UsageError("the series must be a JSON list of [index, value] pairs")
+        raise ValueError("the series must be a JSON list of [index, value] pairs")
     slope = growth_exponent_estimate(series)
     return {"count": len(series), "slope": slope}, 0
 
@@ -238,7 +237,7 @@ def _jsonable(obj):
 
 def _csv(items, header: bool = True) -> str:
     if not all(hasattr(x, "rows") for x in items):
-        raise UsageError("csv output is only available for flat reports (admissible, growth sandwich)")
+        raise ValueError("csv output is only available for flat reports (admissible, growth sandwich)")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
@@ -326,6 +325,8 @@ def main(argv=None) -> int:
         "growth": run_growth,
     }
     try:
+        if args.meta and args.format == "csv":
+            raise ValueError("--meta wraps JSON output only; it cannot be combined with --format csv")
         with _Output(args.out) as out:
             payload, code = handlers[args.command](args)
             if getattr(args, "g_range", None) is None:

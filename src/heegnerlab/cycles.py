@@ -152,14 +152,13 @@ def cubic_heegner_index(d: int) -> HeegnerIndex:
 
 def _gm_labellings(d: int) -> tuple[tuple[Gram, tuple[Fraction, ...], str], ...]:
     """One (Gram, residue vector, gamma) triple per labelling orbit of the
-    Gushel-Mukai locus of discriminant d.
+    Gushel-Mukai locus of a checked positive discriminant d.
 
     The residue vector is in (h1, h2, zeta)-coordinates, and its -1/2
     coefficients name the residue class: on h1 for e*, on h2 for f*, on
     both for e*+f*, on neither for 0.  d = 0 or 4 (mod 8) has one orbit,
     d = 2 (mod 8) two.
     """
-    d = checked_int(d, "d", 1)
     r = d % 8
     half, zero, one = Fraction(-1, 2), Fraction(0), Fraction(1)
     if r == 0:
@@ -200,13 +199,13 @@ def gm_residue_vector(d: int) -> tuple[LabellingWitness, ...]:
     The d = 2 (mod 8) case produces one vector per labelling orbit, each
     checked inside its own Gram matrix.
     """
-    d = checked_int(d, "d")
+    d = checked_int(d, "d", 1)
     return tuple(_witness(gram, vec, d) for gram, vec, _ in _gm_labellings(d))
 
 
 def gm_heegner_index(d: int) -> tuple[HeegnerIndex, ...]:
     """Heegner indices for the Gushel-Mukai locus of discriminant d."""
-    d = checked_int(d, "d")
+    d = checked_int(d, "d", 1)
     return tuple(
         HeegnerIndex(n=Fraction(d, 8), gamma=gamma, lattice_tag="Lambda_GM")
         for _, _, gamma in _gm_labellings(d)

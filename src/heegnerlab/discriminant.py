@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from .intlinalg import Matrix, checked_int, identity, mat_vec, smith_normal_form
@@ -66,10 +66,10 @@ class DiscriminantGroup:
             raise ValueError(
                 f"element {tuple(elem)} has wrong length for divisors {self.elementary_divisors}"
             )
-        try:
-            return tuple(index(r) % s for r, s in zip(elem, self.elementary_divisors))
-        except TypeError:  # integral values of other types, such as 1.0
-            return tuple(checked_int(r, "residue") % s for r, s in zip(elem, self.elementary_divisors))
+        return tuple(
+            (r if type(r) is int else checked_int(r, "residue")) % s
+            for r, s in zip(elem, self.elementary_divisors)
+        )
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
         return tuple((x + y) % s for x, y, s in zip(self.reduce(a), self.reduce(b), self.elementary_divisors))
@@ -132,13 +132,10 @@ class DiscriminantGroup:
         diagonal = (2 * m // gcd(2 * m, row[i]) for i, row in enumerate(pair))
         return lcm(*diagonal, *(m // gcd(m, x) for i, row in enumerate(pair) for x in row[:i]))
 
-    def element_key(self, elem: Sequence[int]) -> str:
-        return ",".join(str(x) for x in self.reduce(elem))
-
     def to_jsonable(self) -> dict:
         return {
             "divisors": list(self.elementary_divisors),
-            "q": {self.element_key(e): str(v) for e, v in self.q_values.items()},
+            "q": {",".join(map(str, e)): str(v) for e, v in self.q_values.items()},
         }
 
 

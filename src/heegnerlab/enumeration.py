@@ -140,8 +140,8 @@ def enumerate_by_norm(
 ) -> list[DualVector]:
     """All vectors v in (coset + L) with <v, v> = norm, sorted lexicographically.
 
-    Only positive definite lattices are accepted; the caller twists negative
-    definite ones first.
+    Only positive definite lattices are accepted; for a negative definite one,
+    enumerate make_lattice of the negated Gram at -norm.
     """
     if coset is None:
         num, den = None, 1

@@ -1,13 +1,14 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works over Python ints and fractions.Fraction; no floating
-point ever enters a result.  Matrices are lists (or tuples) of rows.
+Everything here works over Python ints; no floating point ever enters a
+result.  Matrices are lists (or tuples) of rows.  The shared input guards
+accept a rational entry where one is meant (`checked_row`) and an integral
+value of any type where an integer is (`checked_int`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from operator import mul
 from typing import Sequence
@@ -92,30 +93,22 @@ def _checked_matrix(x) -> list[list[int]]:
     return a
 
 
-def symmetric_invariants(mat) -> tuple[int, int, int, Fraction | int]:
-    """Inertia (p, q, z) and determinant of a symmetric rational matrix.
+def symmetric_invariants(mat) -> tuple[int, int, int, int]:
+    """Inertia (p, q, z) and determinant of a symmetric integer matrix.
 
     One fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968;
-    Cohen, GTM 138, 2.2) on the matrix scaled by the lcm of its denominators.
-    Pivots are diagonal, so the ratio of consecutive pivots is an LDL^T
-    diagonal entry whose sign counts toward p or q.  When every remaining
-    diagonal entry is 0 but an off-diagonal one is not, the congruence
-    e_i -> e_i + e_j makes a nonzero pivot; the entries are bordered minors,
-    linear in row and column i, so the divisions stay exact.  z is the size
-    of the zero block left over; det is an int if no entry has a denominator.
+    Cohen, GTM 138, 2.2).  Pivots are diagonal, so the ratio of consecutive
+    pivots is an LDL^T diagonal entry whose sign counts toward p or q.  When
+    every remaining diagonal entry is 0 but an off-diagonal one is not, the
+    congruence e_i -> e_i + e_j makes a nonzero pivot; the entries are
+    bordered minors, linear in row and column i, so the divisions stay exact.
+    z is the size of the zero block left over.
     """
     if not is_symmetric(mat):
         raise ValueError("matrix must be square and symmetric")
-    n = len(mat)
-    if all(type(x) is int for row in mat for x in row):
-        scale, a = 1, [list(row) for row in mat]
-    else:
-        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    a = [[x if type(x) is int else checked_int(x) for x in row] for row in mat]
     p, z, prev = _eliminate(a)
-    det = 0 if z else prev if scale == 1 else Fraction(prev, scale**n)
-    return p, n - z - p, z, det
+    return p, len(a) - z - p, z, 0 if z else prev
 
 
 def _eliminate(a: list[list[int]]) -> tuple[int, int, int]:

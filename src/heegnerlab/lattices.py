@@ -49,10 +49,10 @@ class IntegerLattice:
             raise ValueError(f"{name} of length {len(row)} in a lattice of rank {self.rank}")
         return tuple(x if type(x) is int else checked_int(x, f"{name} entry") for x in row)
 
-    def pairing(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
+    def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Intersection pairing of two lattice vectors in basis coordinates."""
         u, v = self.checked_vector(u), self.checked_vector(v)
-        return Fraction(sum(a * b for a, b in zip(u, mat_vec(self.gram, v))))
+        return sum(a * b for a, b in zip(u, mat_vec(self.gram, v)))
 
     def to_jsonable(self) -> dict:
         doc = {}
@@ -87,8 +87,8 @@ class DualVector:
     """Rational vector in the span of a lattice, in lattice-basis coordinates.
 
     Stored as integer numerators `num` over one positive denominator `den`,
-    in lowest terms, so equal vectors have equal fields.  Pairings, norms and
-    membership tests run in integers; `.coords` is the Fraction view.
+    in lowest terms, so equal vectors have equal fields.  Pairings and norms
+    run in integers; `.coords` is the Fraction view.
     """
 
     lattice: IntegerLattice
@@ -97,7 +97,7 @@ class DualVector:
 
     def __init__(self, lattice: IntegerLattice, coords: Iterable) -> None:
         coords = checked_row(coords, "dual vector coordinates")
-        if any(isinstance(x, float) for x in coords):  # checked_row admits floats
+        if any(isinstance(x, (float, bool)) for x in coords):  # checked_row admits both
             raise ValueError(f"dual vector coordinates must be integers or Fractions, got {tuple(coords)}")
         den = lcm(*(int(x.denominator) for x in coords))
         num = (int(x.numerator) * (den // int(x.denominator)) for x in coords)
@@ -149,25 +149,6 @@ class DualVector:
 
     def norm(self) -> Fraction:
         return self.pairing(self)
-
-    def in_dual(self) -> bool:
-        """Membership in M-dual: integral pairing against every basis vector."""
-        return all(x % self.den == 0 for x in mat_vec(self.lattice.gram, self.num))
-
-    def in_lattice(self) -> bool:
-        return self.den == 1
-
-    def __add__(self, other: "DualVector") -> "DualVector":
-        other.check_lattice(self.lattice)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return DualVector._reduced(self.lattice, (a * x + b * y for x, y in zip(self.num, other.num)), den)
-
-    def __neg__(self) -> "DualVector":
-        return DualVector._of(self.lattice, tuple(-x for x in self.num), self.den)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return self + -other
 
 
 # The slot descriptors fill the frozen fields without the name lookup of

@@ -154,6 +154,12 @@ def test_out_flag_and_meta(tmp_path):
     listed = json.loads(run_cli("bound", "--g-range", "2:4", "--meta").stdout)
     assert listed["payload"] == [json.loads(line) for line in plain]
     assert len(plain) == 3
+    # the envelope wraps JSON only: with CSV it is refused before any record is made
+    for selector in (("--d", "26"), ("--g-range", "2:4")):
+        csv_out = tmp_path / "report.csv"
+        result = run_cli("admissible", *selector, "--format", "csv", "--meta", "--out", str(csv_out))
+        assert_usage_error(result, "--meta wraps JSON output only")
+        assert not csv_out.exists()
 
 
 def test_output_flags_before_the_subcommand_are_rejected(tmp_path):
@@ -258,7 +264,9 @@ def test_series_file_is_closed(tmp_path):
 def test_admissible_rejects_d_below_two():
     for d in ("0", "-4"):
         assert_usage_error(run_cli("admissible", "--d", d), "at least 2")
-    assert_usage_error(run_cli("admissible", "--g", "1"), "at least 2")
+    # a genus selector names the genus, as `bound` does
+    assert_usage_error(run_cli("admissible", "--g", "1"), "g must be at least 2, got 1")
+    assert_usage_error(run_cli("admissible", "--g-range", "0:3"), "g must be at least 2, got 0")
 
 
 def test_range_selectors_are_mutually_exclusive():

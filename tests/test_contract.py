@@ -145,6 +145,10 @@ EXPLICIT_REFUSALS = {
     "kernel_basis([[1, 2], [3]])": lambda: kernel_basis([[1, 2], [3]]),
     "hermite_row_basis([[2], [3, 4]])": lambda: hermite_row_basis([[2], [3, 4]]),
     "kernel_basis([[2], [3, 4]])": lambda: kernel_basis([[2], [3, 4]]),
+    # a bool residue or coordinate: a flag passed where an integer is meant
+    "GROUP.q((True,))": lambda: GROUP.q((True,)),
+    "GROUP.lift((True,))": lambda: GROUP.lift((True,)),
+    "DualVector(A2, (True, False))": lambda: H.DualVector(A2, (True, False)),
 }
 
 

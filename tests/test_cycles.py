@@ -21,7 +21,14 @@ from heegnerlab.discriminant import discriminant_group
 from heegnerlab.intlinalg import identity, smith_normal_form, symmetric_invariants
 from heegnerlab.lattices import DualVector, build_named_lattice, make_lattice, orthogonal_complement
 
-from conftest import bareiss_determinant, fraction_determinant, invert_rational, moment_matrix, symmetric_signature
+from conftest import (
+    bareiss_determinant,
+    fraction_determinant,
+    invert_rational,
+    moment_matrix,
+    rational_rank,
+    symmetric_signature,
+)
 
 
 def test_cubic_index_examples():
@@ -134,10 +141,12 @@ def test_hk_index_families():
 def test_moment_matrix_basics():
     e8 = build_named_lattice("E8")
     basis = [DualVector(e8, tuple(Fraction(int(i == j)) for j in range(8))) for i in range(8)]
-    assert symmetric_invariants(moment_matrix(basis)) == (8, 0, 0, Fraction(1, 256))
+    moment = moment_matrix(basis)
+    assert symmetric_signature(moment) == (8, 0, 0) and rational_rank(moment) == 8
+    assert fraction_determinant(moment) == Fraction(1, 256)
     assert moment_matrix([basis[0]]) == ((Fraction(1),),)
     empty = moment_matrix([])
-    assert empty == () and symmetric_invariants(empty) == (0, 0, 0, 1)
+    assert empty == () and symmetric_signature(empty) == (0, 0, 0) and fraction_determinant(empty) == 1
 
 
 def test_moment_matrix_mixed_lattices_rejected():
@@ -150,14 +159,16 @@ def test_moment_matrix_mixed_lattices_rejected():
 
 
 def test_moment_matrix_must_be_square_and_symmetric():
-    """Moment-matrix rank, det and inertia come from symmetric_invariants,
-    which refuses a matrix that is not square and symmetric."""
+    """Moment-matrix rank, det and inertia come from symmetric_invariants on
+    the integer Gram, which refuses a matrix that is not square and symmetric
+    and a half-Gram's fractional entries."""
     with pytest.raises(ValueError, match="square and symmetric"):
         symmetric_invariants(((1, 2), (0, 1)))
     with pytest.raises(ValueError, match="square and symmetric"):
         symmetric_invariants(((1, 2),))
     half = Fraction(1, 2)
-    assert symmetric_invariants(((1, half), (half, 1))) == (2, 0, 0, Fraction(3, 4))
+    with pytest.raises(ValueError, match="entry must be an integer, got 1/2"):
+        symmetric_invariants(((1, half), (half, 1)))
 
 
 def test_moment_of_norm_2n_vector():
@@ -369,7 +380,8 @@ def test_integer_det_matches_the_fraction_moment_route():
     for d in range(2, 601, 2):
         wit = embed_k3_lattice(d)
         halves = tuple(tuple(Fraction(x, 2) for x in row) for row in wit.complement_gram)
-        assert symmetric_invariants(halves) == (7, 0, 0, wit.det_lhs)
+        assert symmetric_signature(halves) == (7, 0, 0) and rational_rank(halves) == 7
+        assert fraction_determinant(halves) == wit.det_lhs
         assert wit.det_lhs == Fraction(d, 2**7)
         assert halves == moment_matrix([DualVector.from_scaled(sharp, b) for b in wit.complement_basis])
 

@@ -315,8 +315,8 @@ def test_flat_traversal_matches_recursive_slow_path(case):
     norms = {extra, base.norm()}
     for i in range(lattice.rank):
         for sign in (1, -1):
-            unit = DualVector.from_scaled(lattice, (sign * (j == i) for j in range(lattice.rank)))
-            norms.add((base + unit).norm())
+            step = (x + sign * base.den * (j == i) for j, x in enumerate(base.num))
+            norms.add(DualVector.from_scaled(lattice, step, base.den).norm())
     for norm in sorted(n for n in norms if n <= SLOW_PATH_MAX_NORM):
         assert_matches_slow_path(lattice, norm, coset)
 

@@ -147,11 +147,15 @@ def test_symmetric_invariants_cases():
     assert symmetric_invariants([[2, 1], [1, 2]]) == (2, 0, 0, 3)
     assert symmetric_invariants([[-2]]) == (0, 1, 0, -2)
     assert symmetric_invariants([[0, 0], [0, 0]]) == (0, 0, 2, 0)
-    assert symmetric_invariants([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]]) == (1, 1, 0, Fraction(-1, 6))
     # Zero diagonal throughout: U + U needs the congruence step twice.
     u2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     assert symmetric_invariants(u2) == (2, 2, 0, 1)
     assert type(symmetric_invariants([[2, -1], [-1, 2]])[3]) is int
+    # integral values of other types are integers; a half is refused by name
+    assert symmetric_invariants([[2.0, -1], [-1, Fraction(2)]]) == (2, 0, 0, 3)
+    assert type(symmetric_invariants([[2.0, -1.0], [-1.0, 2.0]])[3]) is int
+    with pytest.raises(ValueError, match="entry must be an integer, got 1/2"):
+        symmetric_invariants([[Fraction(1, 2), 0], [0, 1]])
 
 
 def test_symmetric_invariants_rejects_non_symmetric():
@@ -168,7 +172,7 @@ def _symmetric(n, entry):
     return mat
 
 
-RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+ENTRIES = st.integers(-6, 6)
 U_U_A2 = [
     [0, 1, 0, 0, 0, 0],
     [1, 0, 0, 0, 0, 0],
@@ -180,20 +184,20 @@ U_U_A2 = [
 
 
 @st.composite
-def symmetric_rational_matrices(draw):
-    """Symmetric rational matrices up to 8x8 of four kinds: generic, singular
+def symmetric_integer_matrices(draw):
+    """Symmetric integer matrices up to 8x8 of four kinds: generic, singular
     (B D B^T of lower rank), zero diagonal, and unimodular congruences of
     U + U + A2."""
     kind = draw(st.sampled_from(("generic", "singular", "zero_diagonal", "congruent")))
     n = draw(st.integers(0, 8)) if kind != "congruent" else 6
     if kind == "generic":
-        return _symmetric(n, lambda i, j: draw(RATIONALS))
+        return _symmetric(n, lambda i, j: draw(ENTRIES))
     if kind == "zero_diagonal":
-        return _symmetric(n, lambda i, j: 0 if i == j else draw(RATIONALS))
+        return _symmetric(n, lambda i, j: 0 if i == j else draw(ENTRIES))
     if kind == "singular":
         r = draw(st.integers(0, max(n - 1, 0)))
         b = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
-        d = [draw(RATIONALS) for _ in range(r)]
+        d = [draw(ENTRIES) for _ in range(r)]
         return _symmetric(n, lambda i, j: sum(b[i][k] * d[k] * b[j][k] for k in range(r)))
     m = [row[:] for row in U_U_A2]
     for _ in range(draw(st.integers(0, 12))):
@@ -207,7 +211,7 @@ def symmetric_rational_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(symmetric_rational_matrices())
+@given(symmetric_integer_matrices())
 def test_symmetric_invariants_match_the_fraction_oracles(mat):
     p, q, z, det = symmetric_invariants(mat)
     assert (p, q, z) == symmetric_signature(mat)

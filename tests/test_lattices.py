@@ -204,6 +204,7 @@ def test_integer_entries_are_checked_not_truncated():
     # Integral values of another type are integers.
     assert make_lattice([[Fraction(2)]]).gram == ((2,),)
     assert e8.pairing((Fraction(1), 0, 0, 0, 0, 0, 0, 0), e1) == 2
+    assert type(e8.pairing(e1, e1)) is int
 
 
 # Valid parameters for every table entry; a new entry needs samples here.
