@@ -62,7 +62,11 @@ class DiscriminantGroup:
         return itertools.product(*(range(s) for s in self.elementary_divisors))
 
     def reduce(self, elem: Sequence[int]) -> Element:
-        if len(elem) != len(self.elementary_divisors):
+        try:
+            size = len(elem)
+        except TypeError:
+            raise ValueError(f"element must be a sequence of residues, got {elem!r}") from None
+        if size != len(self.elementary_divisors):
             raise ValueError(
                 f"element {tuple(elem)} has wrong length for divisors {self.elementary_divisors}"
             )

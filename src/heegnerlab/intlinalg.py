@@ -4,11 +4,19 @@ Everything here works over Python ints; no floating point ever enters a
 result.  Matrices are lists (or tuples) of rows.  The shared input guards
 accept a rational entry where one is meant (`checked_row`) and an integral
 value of any type where an integer is (`checked_int`).
+
+Integer kernels come in the canonical row-HNF basis by one of two routes.
+The kernel of a single row r has a closed form (Cohen, GTM 138, 2.4): with
+g_c = gcd(r_c, ..., r_{m-1}) and l the last index where r is nonzero, the
+pivots are g_{c+1}/g_c in the columns c < l and 1 in the columns c > l, and
+each entry above a pivot follows from one congruence.  Two or more rows go
+through one row-HNF of the augmented rows (column j, e_j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 from operator import mul
 from typing import Sequence
@@ -197,10 +205,13 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     """Basis of the integer (right) kernel {x : mat @ x = 0}.
 
     The kernel of an integer matrix is a saturated subgroup of Z^m, so the
-    basis spans a primitive sublattice.  One row-HNF of the rows
-    (column j of mat, e_j) spans {(mat @ x, x)}; its rows whose mat part is
-    zero, with that part dropped, are the canonical HNF basis of the kernel
-    (Cohen, GTM 138, 2.4).
+    basis spans a primitive sublattice.  The basis is the canonical row-HNF
+    of the kernel (Cohen, GTM 138, 2.4).  For one row r it is read off in
+    closed form: the pivot in column c < l, the last index with r_l != 0, is
+    g_{c+1}/g_c with g_c = gcd(r_c, ..., r_{m-1}), every column past l holds
+    a unit pivot, and column l holds none.  For two or more rows, one row-HNF
+    of the rows (column j of mat, e_j) spans {(mat @ x, x)}; its rows whose
+    mat part is zero, with that part dropped, are the kernel basis.
     """
     return _kernel_basis(_checked_matrix(mat))
 
@@ -208,9 +219,47 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
 def _kernel_basis(a: list[list[int]]) -> list[list[int]]:
     """kernel_basis of integer rows of one length."""
     n = len(a)
+    if n == 1:
+        return _row_kernel(a[0])
     m = len(a[0]) if n else 0
     rows = [[row[j] for row in a] + unit for j, unit in enumerate(identity(m))]
     return [row[n:] for row in _hermite_row_basis(rows) if not any(row[:n])]
+
+
+def _row_kernel(r: Sequence[int]) -> list[list[int]]:
+    """Row-HNF basis of {x : r . x = 0} for one integer row r, in closed form.
+
+    Row c < l has pivot h_c = g_{c+1}/g_c, zeros before it and past column l,
+    and in each column k with c < k < l the one x_k in [0, h_k) that keeps the
+    partial sum s = r_c h_c + r_{c+1} x_{c+1} + ... + r_k x_k divisible by
+    g_{k+1}: with s divisible by g_k, x_k = -(s/g_k) (r_k/g_k)^-1 mod h_k.
+    Then g_l = |r_l| divides s, and x_l = -s/r_l.  Each such row is a kernel
+    vector with the least positive entry a kernel vector can lead with at c,
+    and its entries above the later pivots are reduced, so by uniqueness of
+    the HNF the rows, with the unit rows e_c for c > l, are the HNF basis.
+    """
+    m = len(r)
+    last = next((c for c in range(m - 1, -1, -1) if r[c]), None)
+    if last is None:
+        return identity(m)
+    g = [0] * (m + 1)  # g[c] = gcd(r[c:])
+    for c in range(m - 1, -1, -1):
+        g[c] = gcd(r[c], g[c + 1])
+    # (k, g_k, h_k, (r_k/g_k)^-1 mod h_k) for each column k < l whose pivot h_k exceeds 1
+    steps = [(k, g[k], g[k + 1] // g[k], pow(r[k] // g[k], -1, g[k + 1] // g[k]))
+             for k in range(last) if g[k + 1] != g[k]]
+    basis = identity(m)
+    for c in range(last):
+        row = basis[c]
+        h = row[c] = g[c + 1] // g[c]
+        s = r[c] * h
+        for k, gk, hk, inv in steps:
+            if k > c:
+                x = row[k] = -(s // gk) * inv % hk
+                s += r[k] * x
+        row[last] = -s // r[last]
+    del basis[last]
+    return basis
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:

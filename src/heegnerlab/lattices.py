@@ -15,6 +15,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    _eliminate,
     _kernel_basis,
     checked_even,
     checked_int,
@@ -316,8 +317,8 @@ def orthogonal_complement(
         for j in range(i, len(basis)):
             induced[i][j] = induced[j][i] = sum(map(mul, bi, images[j]))
     gram = tuple(map(tuple, induced))
-    p, q, z, det = symmetric_invariants(gram)
+    p, z, det = _eliminate(induced)  # an integer symmetric matrix built here, so no re-check
     if z:
         raise ValueError(f"the orthogonal complement is degenerate: its Gram has nullity {z}")
-    result = IntegerLattice(gram=gram, signature=(p, q), det=det)
+    result = IntegerLattice(gram=gram, signature=(p, len(gram) - p), det=det)
     return result, [tuple(b) for b in basis]

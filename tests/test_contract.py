@@ -148,6 +148,10 @@ EXPLICIT_REFUSALS = {
     # a bool residue or coordinate: a flag passed where an integer is meant
     "GROUP.q((True,))": lambda: GROUP.q((True,)),
     "GROUP.lift((True,))": lambda: GROUP.lift((True,)),
+    # an element that is no sequence: a TypeError from its length
+    "GROUP.q(5)": lambda: GROUP.q(5),
+    "GROUP.q(None)": lambda: GROUP.q(None),
+    "GROUP.lift(None)": lambda: GROUP.lift(None),
     "DualVector(A2, (True, False))": lambda: H.DualVector(A2, (True, False)),
 }
 

@@ -391,11 +391,11 @@ def test_certificate_path_runs_one_integer_elimination(monkeypatch):
 
     grams = []
 
-    def counting(mat):
-        grams.append(mat)
-        return intlinalg.symmetric_invariants(mat)
+    def counting(a):
+        grams.append(tuple(map(tuple, a)))  # copied first: the elimination works in place
+        return intlinalg._eliminate(a)
 
-    monkeypatch.setattr(lattices, "symmetric_invariants", counting)
+    monkeypatch.setattr(lattices, "_eliminate", counting)
     wit = embed_k3_lattice(2 * 777_777)
     assert grams == [wit.complement_gram]
     assert wit.det_check_passed

@@ -1,9 +1,10 @@
 """Pinned SHA-256 digests of the embedding witnesses, the range CLI and `lattice info`.
 
 The digests were computed before the Kudla complement moved into the spare
-E8 block, the admissibility ones before range output was streamed, and the
+E8 block, the admissibility ones before range output was streamed, the
 `lattice info` ones before the discriminant group was read directly off one
-augmented Smith elimination.
+augmented Smith elimination, and the large-d witnesses (where the kernel
+entries are no longer small) before the one-row kernel took its closed form.
 Later rewrites of the complement, the rank, the enumerator or the output
 path must keep every byte, so a changed digest is a changed result.
 """
@@ -20,6 +21,7 @@ from heegnerlab.cycles import embed_k3_lattice
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 WITNESSES_D_2_TO_600 = "5af4fe26affce34a9797504d1dc70f05c6db10cadc870f0c80908846e092e05a"
+WITNESSES_D_1000000_TO_1000598 = "5dff5080dcec3f46c37a67c13adfc43a53d6b702da0f597476887635b903d2bf"
 BOUND_G_RANGE_2_TO_200 = "7001914ed39924d03016f5450c1cdb5f1ceb49478dcb5bef0d5e0bed431068da"
 ADMISSIBLE_G_RANGE_2_TO_2000 = "10e8f5df24d94e1806df866bbd01c3c6173411afc618112c982e14e454718f00"
 ADMISSIBLE_G_RANGE_2_TO_2000_CSV = "d4ef76b88f0e09d234669d4d563fd81e0d4c7df3f5fdfb4e69d0fb178314affa"
@@ -31,13 +33,18 @@ LATTICE_INFO = {
 }
 
 
-def test_embedding_witnesses_are_pinned():
+def _witness_digest(ds):
     digest = hashlib.sha256()
-    for d in range(2, 601, 2):
+    for d in ds:
         wit = embed_k3_lattice(d)
         doc = [wit.to_jsonable(), [list(b) for b in wit.complement_basis]]
         digest.update(json.dumps(doc).encode())
-    assert digest.hexdigest() == WITNESSES_D_2_TO_600
+    return digest.hexdigest()
+
+
+def test_embedding_witnesses_are_pinned():
+    assert _witness_digest(range(2, 601, 2)) == WITNESSES_D_2_TO_600
+    assert _witness_digest(range(1_000_000, 1_000_599, 2)) == WITNESSES_D_1000000_TO_1000598
 
 
 def _stdout_digest(*args):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heegnerlab.enumeration import first_primitive_vector
 from heegnerlab.intlinalg import (
+    _hermite_row_basis,
+    _row_kernel,
     hermite_row_basis,
+    identity,
     kernel_basis,
     smith_normal_form,
     symmetric_invariants,
@@ -112,6 +116,41 @@ def test_kernel_basis_is_saturated_kernel():
             assert rational_rank(basis) == len(basis)
             s, _, _ = smith_normal_form(basis)
             assert all(s[i][i] == 1 for i in range(len(basis)))
+
+
+def _augmented_row_kernel(r):
+    """The kernel of one row through the general route: the HNF of the rows (r_j, e_j)."""
+    rows = [[x] + unit for x, unit in zip(r, identity(len(r)))]
+    return [row[1:] for row in _hermite_row_basis(rows) if not row[0]]
+
+
+@st.composite
+def kernel_rows(draw):
+    """One integer row of length 1..10: entries up to 10^12, a zero, negative
+    or positive last entry, and sometimes a common factor."""
+    m = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([0, 1, 3, 100, 10**12]))
+    row = draw(st.lists(st.integers(-bound, bound), min_size=m, max_size=m))
+    row[-1] = draw(st.sampled_from([0, 1, -1])) * draw(st.integers(1, max(bound, 1)))
+    factor = draw(st.sampled_from([1, 1, 2, 6, 10**6]))
+    return [x * factor for x in row]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(kernel_rows())
+def test_one_row_kernel_matches_the_augmented_hnf(r):
+    assert _row_kernel(r) == _augmented_row_kernel(r)
+
+
+def test_one_row_kernel_matches_the_augmented_hnf_on_edge_and_e8_rows():
+    for m in range(1, 11):
+        assert _row_kernel([0] * m) == _augmented_row_kernel([0] * m) == identity(m)
+    e8 = build_named_lattice("E8")
+    rng = random.Random(28)
+    for d in [2, 4, 6, 2 * 10**6, *(2 * rng.randint(1, 10**6) for _ in range(200))]:
+        w = first_primitive_vector(e8, d)
+        r = [sum(x * y for x, y in zip(row, w)) for row in e8.gram]
+        assert _row_kernel(r) == _augmented_row_kernel(r) == kernel_basis([r])
 
 
 def test_hermite_row_basis_canonical():
