@@ -23,8 +23,8 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .intlinalg import Matrix, checked_int, identity, mat_vec, smith_normal_form
-from .lattices import DualVector, IntegerLattice, checked_lattice
+from .intlinalg import Matrix, _listed, checked_int, identity, mat_vec, smith_normal_form
+from .lattices import DualVector, IntegerLattice, checked_dual, checked_lattice
 
 Element = tuple[int, ...]
 
@@ -62,11 +62,10 @@ class DiscriminantGroup:
         return itertools.product(*(range(s) for s in self.elementary_divisors))
 
     def reduce(self, elem: Sequence[int]) -> Element:
-        try:
-            size = len(elem)
-        except TypeError:
-            raise ValueError(f"element must be a sequence of residues, got {elem!r}") from None
-        if size != len(self.elementary_divisors):
+        """elem as reduced residues; a tuple, as the group hands out, skips the sequence check."""
+        if type(elem) is not tuple:
+            elem = _listed(elem, "element", "residues")
+        if len(elem) != len(self.elementary_divisors):
             raise ValueError(
                 f"element {tuple(elem)} has wrong length for divisors {self.elementary_divisors}"
             )
@@ -77,9 +76,6 @@ class DiscriminantGroup:
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
         return tuple((x + y) % s for x, y, s in zip(self.reduce(a), self.reduce(b), self.elementary_divisors))
-
-    def neg(self, a: Sequence[int]) -> Element:
-        return tuple((-x) % s for x, s in zip(self.reduce(a), self.elementary_divisors))
 
     def _form(self, x: Element, y: Element) -> int:
         """x^T P y for reduced residue tuples x, y."""
@@ -106,7 +102,7 @@ class DiscriminantGroup:
 
     def element_of(self, v: DualVector) -> Element:
         """Class of a dual vector in the group."""
-        v.check_lattice(self.lattice)
+        v = checked_dual(v, self.lattice, "v")
         gv = mat_vec(self.lattice.gram, v.num)
         if any(x % v.den for x in gv):
             raise ValueError("vector is not in the dual lattice")

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .intlinalg import _eliminate, checked_int
-from .lattices import CACHE_SIZE, DualVector, IntegerLattice, checked_lattice
+from .lattices import CACHE_SIZE, DualVector, IntegerLattice, checked_dual, checked_lattice
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -143,14 +143,9 @@ def enumerate_by_norm(
     Only positive definite lattices are accepted; for a negative definite one,
     enumerate make_lattice of the negated Gram at -norm.
     """
-    if coset is None:
-        num, den = None, 1
-    elif not isinstance(coset, DualVector):
-        raise ValueError(f"coset must be a DualVector or None, got {coset!r}")
-    elif coset.lattice != lattice:
-        raise ValueError("coset representative lives in a different lattice")
-    else:
-        num, den = coset.num, coset.den
+    num, den = None, 1
+    if coset is not None:
+        num, den = checked_dual(coset, lattice, "coset").num, coset.den
     # No reduction needed: num/den is in lowest terms and each w_i = num_i
     # (mod den), so gcd(den, *w) = gcd(den, *num) = 1.
     return [DualVector._of(lattice, w, den) for w in lex_stream(lattice, norm, num, den)]

@@ -2,8 +2,9 @@
 
 Everything here works over Python ints; no floating point ever enters a
 result.  Matrices are lists (or tuples) of rows.  The shared input guards
-accept a rational entry where one is meant (`checked_row`) and an integral
-value of any type where an integer is (`checked_int`).
+accept a rational entry where one is meant (`checked_row`), an integral
+value of any type where an integer is (`checked_int`), and an instance of
+a class where one is (`checked_instance`).
 
 Integer kernels come in the canonical row-HNF basis by one of two routes.
 The kernel of a single row r has a closed form (Cohen, GTM 138, 2.4): with
@@ -65,6 +66,14 @@ def checked_even(x, name: str = "d", minimum: int = 1) -> int:
     x = checked_int(x, name, minimum)
     if x % 2:
         raise ValueError(f"{name} must be even, got {x}")
+    return x
+
+
+def checked_instance(x, cls: type, name: str):
+    """x itself; ValueError naming `name` unless x is an instance of cls."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {x!r}")
     return x
 
 

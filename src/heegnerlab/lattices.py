@@ -18,6 +18,7 @@ from .intlinalg import (
     _eliminate,
     _kernel_basis,
     checked_even,
+    checked_instance,
     checked_int,
     checked_row,
     checked_rows,
@@ -66,9 +67,7 @@ class IntegerLattice:
 
 def checked_lattice(x, name: str = "lattice") -> IntegerLattice:
     """x itself; ValueError naming `name` unless x is an IntegerLattice."""
-    if not isinstance(x, IntegerLattice):
-        raise ValueError(f"{name} must be an IntegerLattice, got {x!r}")
-    return x
+    return checked_instance(x, IntegerLattice, name)
 
 
 # Integral coordinates share these Fractions, so reading `.coords` of a
@@ -135,16 +134,9 @@ class DualVector:
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(_coord(x, self.den) for x in self.num)
 
-    def check_lattice(self, lattice: IntegerLattice) -> None:
-        """Raise ValueError unless the vector lives in `lattice`."""
-        if self.lattice is not lattice and self.lattice != lattice:
-            raise ValueError("dual vectors live in different lattices")
-
-    def pairing(self, other) -> Fraction:
-        if isinstance(other, DualVector):
-            other.check_lattice(self.lattice)
-        else:
-            other = DualVector(self.lattice, other)
+    def pairing(self, other: DualVector) -> Fraction:
+        """Pairing with a vector of the same lattice."""
+        other = checked_dual(other, self.lattice, "other")
         gv = mat_vec(self.lattice.gram, other.num)
         return Fraction(sum(a * b for a, b in zip(self.num, gv)), self.den * other.den)
 
@@ -156,6 +148,13 @@ class DualVector:
 # object.__setattr__; enumeration builds one vector per lattice point.
 _new = object.__new__
 _set_lattice, _set_num, _set_den = (DualVector.__dict__[f].__set__ for f in ("lattice", "num", "den"))
+
+
+def checked_dual(v, lattice: IntegerLattice, name: str) -> DualVector:
+    """v itself; ValueError naming `name` unless v is a DualVector of `lattice`."""
+    if checked_instance(v, DualVector, name).lattice is not lattice and v.lattice != lattice:
+        raise ValueError(f"{name} is a vector of another lattice; vectors of different lattices do not mix")
+    return v
 
 
 def make_lattice(gram: Iterable[Iterable[int]], name: str | None = None) -> IntegerLattice:
@@ -256,19 +255,13 @@ def _build(name: str, *params: int) -> IntegerLattice:
     return _assemble(tag, [E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, ((d,),)])
 
 
-# The cache sits behind the argument checks; its handles stay on the public name.
-build_named_lattice.cache_info, build_named_lattice.cache_clear = _build.cache_info, _build.cache_clear
-
-
 def named_lattice(tag: str) -> IntegerLattice:
     """The named lattice whose `.name` is `tag`; inverse of build_named_lattice.
 
     Raises ValueError for any string that is not exactly a built lattice's
     tag, such as ``Lambda_d( 14)``, ``Lambda_d(014)`` or ``E8()``.
     """
-    if not isinstance(tag, str):
-        raise ValueError(f"lattice tag must be a string, got {tag!r}")
-    name, paren, inside = tag.partition("(")
+    name, paren, inside = checked_instance(tag, str, "lattice tag").partition("(")
     params = inside.removesuffix(")").split(",") if paren else ()
     if not all(p.isdecimal() for p in params):
         raise ValueError(f"malformed lattice tag {tag!r}")

@@ -19,7 +19,7 @@ from numbers import Real
 from typing import TYPE_CHECKING, Sequence
 
 from .discriminant import DiscriminantGroup
-from .intlinalg import checked_even
+from .intlinalg import checked_even, checked_instance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,8 +64,7 @@ def build_weil_rep(group: DiscriminantGroup, m: int) -> WeilRepresentation:
     """
     import numpy as np
 
-    if not isinstance(group, DiscriminantGroup):
-        raise ValueError(f"group must be a DiscriminantGroup, got {group!r}")
+    checked_instance(group, DiscriminantGroup, "group")
     m = checked_even(m, "m", 2)
     dim = group.order
     if dim > DIM_CAP:
@@ -97,8 +96,7 @@ def verify_sl2_relations(rep: WeilRepresentation, tol: float = 1e-9) -> list[Rel
     """
     import numpy as np
 
-    if not isinstance(rep, WeilRepresentation):
-        raise ValueError(f"rep must be a WeilRepresentation, got {rep!r}")
+    checked_instance(rep, WeilRepresentation, "rep")
     if isinstance(tol, bool) or not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive and finite tolerance, got {tol!r}")
     s = rep.s_matrix

@@ -19,7 +19,7 @@ from heegnerlab.bounds import (
 from heegnerlab.cycles import embed_k3_lattice, gm_residue_vector
 from heegnerlab.discriminant import discriminant_group
 from heegnerlab.enumeration import enumerate_by_norm
-from heegnerlab.lattices import build_named_lattice, direct_sum, make_lattice
+from heegnerlab.lattices import _build, build_named_lattice, direct_sum, make_lattice
 from heegnerlab.weil import build_weil_rep, relations_pass, verify_sl2_relations
 
 from conftest import box_norm_table, random_even_gram, random_positive_definite_lattice
@@ -44,7 +44,7 @@ class Timer:
 
 
 def test_criterion_01_discriminant_groups_match():
-    build_named_lattice.cache_clear()
+    _build.cache_clear()
     with Timer("1 discriminant groups", 1.0):
         cubic = discriminant_group(build_named_lattice("Lambda_C"))
         assert cubic.elementary_divisors == (3,)

@@ -1,10 +1,11 @@
 """The boundary contract of the public API and of the command line.
 
-Every callable in `heegnerlab.__all__` has one known-good call below.  Each
-argument of that call is swapped, one at a time, for each value of a pool of
-hostile inputs; the call must then return or raise ValueError.  A TypeError
-or AttributeError escaping a public function is a leak: the CLI maps
-ValueError to exit 2 (usage) and lets anything else surface as a bug.
+Every callable in `heegnerlab.__all__`, and every method of `DualVector` and
+`DiscriminantGroup` that takes an argument, has one known-good call below.
+Each argument of that call is swapped, one at a time, for each value of a
+pool of hostile inputs; the call must then return or raise ValueError.  A
+TypeError or AttributeError escaping a public function is a leak: the CLI
+maps ValueError to exit 2 (usage) and lets anything else surface as a bug.
 
 Some bad values are refused only by a check the pool cannot see, because a
 return also satisfies the contract; those have explicit cases.  The CLI
@@ -92,6 +93,21 @@ GOOD_CALLS = {
 }
 
 
+# One known-good call per method that takes an argument: label -> (method, args).
+GOOD_METHOD_CALLS = {
+    "GROUP.q": (GROUP.q, ((3,),)),
+    "GROUP.b": (GROUP.b, ((3,), (7,))),
+    "GROUP.add": (GROUP.add, ((3,), (7,))),
+    "GROUP.lift": (GROUP.lift, ((3,),)),
+    "GROUP.element_of": (GROUP.element_of, (GROUP.lift((3,)),)),
+    "THIRDS.pairing": (THIRDS.pairing, (THIRDS,)),
+}
+
+# Every probed call: label -> (callable, args, kwargs).
+PROBED = {name: (getattr(H, name), *call) for name, call in GOOD_CALLS.items()}
+PROBED |= {label: (method, args, {}) for label, (method, args) in GOOD_METHOD_CALLS.items()}
+
+
 def test_every_public_name_is_a_probed_call_or_a_record():
     public = set(H.__all__)
     records = {name for name in public if name not in GOOD_CALLS}
@@ -99,14 +115,14 @@ def test_every_public_name_is_a_probed_call_or_a_record():
     assert set(GOOD_CALLS) <= public
 
 
-@pytest.mark.parametrize("name", sorted(GOOD_CALLS))
+@pytest.mark.parametrize("name", sorted(PROBED))
 def test_good_call_runs(name):
-    args, kwargs = GOOD_CALLS[name]
-    getattr(H, name)(*args, **kwargs)
+    fn, args, kwargs = PROBED[name]
+    fn(*args, **kwargs)
 
 
 def _swapped_calls(name):
-    args, kwargs = GOOD_CALLS[name]
+    _, args, kwargs = PROBED[name]
     for i in range(len(args)):
         for bad in POOL:
             yield f"{name} arg {i} = {bad!r}", (*args[:i], bad, *args[i + 1 :]), kwargs
@@ -115,9 +131,9 @@ def _swapped_calls(name):
             yield f"{name} {key} = {bad!r}", args, {**kwargs, key: bad}
 
 
-@pytest.mark.parametrize("name", sorted(GOOD_CALLS))
+@pytest.mark.parametrize("name", sorted(PROBED))
 def test_hostile_arguments_return_or_raise_value_error(name):
-    fn = getattr(H, name)
+    fn = PROBED[name][0]
     leaks = []
     for label, args, kwargs in _swapped_calls(name):
         try:
@@ -152,6 +168,12 @@ EXPLICIT_REFUSALS = {
     "GROUP.q(5)": lambda: GROUP.q(5),
     "GROUP.q(None)": lambda: GROUP.q(None),
     "GROUP.lift(None)": lambda: GROUP.lift(None),
+    # a bytes element iterates as its byte values, which are integers
+    'GROUP.q(b"a")': lambda: GROUP.q(b"a"),
+    'GROUP.lift(b"\\x01")': lambda: GROUP.lift(b"\x01"),
+    # an element_of argument that is no DualVector: an AttributeError from its lattice
+    "GROUP.element_of(None)": lambda: GROUP.element_of(None),
+    "GROUP.element_of((1,))": lambda: GROUP.element_of((1,)),
     "DualVector(A2, (True, False))": lambda: H.DualVector(A2, (True, False)),
 }
 

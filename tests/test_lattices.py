@@ -8,6 +8,7 @@ from heegnerlab.lattices import (
     CACHE_SIZE,
     NAMED_LATTICES,
     DualVector,
+    _build,
     build_named_lattice,
     direct_sum,
     make_lattice,
@@ -179,7 +180,7 @@ def test_lattice_caches_stay_bounded():
         _tag_level(f"Lambda_HK_prim({n},1)")
     for d in range(2, 2 * extra + 1, 2):
         assert _tag_level(f"Lambda_d({d})") == 2 * d
-    for cached in (build_named_lattice, _tag_level):
+    for cached in (_build, _tag_level):
         info = cached.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= info.maxsize
