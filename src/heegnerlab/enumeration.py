@@ -8,21 +8,27 @@ an integer square root and every acceptance check into an integer equality,
 so no boundary vector is ever gained or lost to rounding.
 
 The traversal is one iterative depth-first loop with its per-coordinate state
-in flat lists, no recursion and no nested generators.  It stops one
-coordinate early: the last coordinate has a closed form, because the budget
-left must equal k t^2 for an integer t, so no leaf interval is scanned.  It
-yields the numerators den*x + num of each coset vector, which are already
-in lowest terms, so `enumerate_by_norm` wraps them without reducing.
+in flat lists, no recursion and no nested generators.  The last two
+coordinates take one fused step: the second-last runs over its interval in a
+tight inner loop, and for each value the last has a closed form, because the
+budget left must equal k t^2 for an integer t, so no leaf interval is
+scanned.  It yields the numerators den*x + num of each coset vector, which
+are already in lowest terms, so `enumerate_by_norm` wraps them without
+reducing.
 
 Vectors are produced in ascending lexicographic order of their coordinates,
 which makes full enumerations canonically sorted and lets searches for a
-distinguished representative stop at the first hit.
+distinguished representative stop at the first hit.  A shell closed under
+v -> -v (every lattice shell, and every coset of order at most 2) is read off
+half the tree: `enumerate_by_norm` stops at the first vector past zero and
+appends the negatives of the half it has, in reverse order.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isfinite, isqrt, lcm
 from numbers import Rational
 from operator import mul
@@ -74,6 +80,11 @@ def lex_stream(
     budget must equal t^2 k, so t = -sqrt(q), +sqrt(q) for the square
     q = budget / k, and x = (t - centre) / step only where that divides
     exactly.  So solutions come out in ascending lexicographic order.
+
+    The last two depths are one fused step: the loop over x at depth n-2
+    solves the last coordinate inline, and the last centre moves by the
+    constant rows[n-1][n-2] den per step of x instead of being recomputed.
+    Rank 1 is the closed form alone.
     """
     rows = _decompose(checked_lattice(lattice))
     target = _exact_norm(norm)
@@ -93,33 +104,58 @@ def lex_stream(
     scale = lcm(*minors)
     weights = [scale * target.denominator // m for m in minors]
     steps = [den * p for p in pivots]
-    xs, highs, centres, budgets = [0] * n, [0] * n, [0] * n, [0] * n
+    budget = target.numerator * den * den * scale
+    last = n - 1
+    k_last, step_last, num_last = weights[last], steps[last], num[last]
+    if n == 1:
+        q, rem = divmod(budget, k_last)
+        r = isqrt(q)
+        if not rem and r * r == q:
+            c = rows[0][0] * num_last
+            for t in (-r, r) if r else (0,):
+                x, rem = divmod(t - c, step_last)
+                if not rem:
+                    yield (den * x + num_last,)
+        return
+    pen = n - 2
+    k_pen, num_pen = weights[pen], num[pen]
+    # The last centre moves by this much per unit step of x at depth pen.
+    slope = rows[last][pen] * den
+    xs, highs, centres, budgets = [0] * pen, [0] * pen, [0] * pen, [0] * pen
     # w[j] = num[j] at every depth j not yet fixed, so the centre of depth i,
     # rows[i][i] num[i] + sum_{k<i} rows[i][k] w_k, is one dot product.
     w = list(num)
-    last = n - 1
-    i, budget = 0, target.numerator * den * den * scale
+    i = 0
     while True:
         c = sum(map(mul, rows[i], w))
-        if i == last:
-            q, rem = divmod(budget, weights[i])
-            r = isqrt(q)
-            if not rem and r * r == q:
-                for t in (-r, r) if r else (0,):
-                    x, rem = divmod(t - c, steps[i])
-                    if not rem:
-                        w[i] = den * x + num[i]
-                        yield tuple(w)
-                w[i] = num[i]
+        r = isqrt(budget // weights[i])
+        step = steps[i]
+        lo, hi = -((r + c) // step), (r - c) // step
+        if i == pen:
+            # Fused last two depths: x runs over its interval and the last
+            # coordinate is solved in closed form for each x.
+            t = step * lo + c
+            c_last = sum(map(mul, rows[last], w)) + slope * lo
+            for x in range(lo, hi + 1):
+                q, rem = divmod(budget - t * t * k_pen, k_last)
+                if not rem:
+                    s = isqrt(q)
+                    if s * s == q:
+                        for u in (-s, s) if s else (0,):
+                            y, rem = divmod(u - c_last, step_last)
+                            if not rem:
+                                w[pen], w[last] = den * x + num_pen, den * y + num_last
+                                yield tuple(w)
+                t += step
+                c_last += slope
+            w[pen], w[last] = num_pen, num_last
             if i == 0:
                 return
             i -= 1
             x = xs[i] + 1
         else:
-            r = isqrt(budget // weights[i])
-            step = steps[i]
-            x = -((r + c) // step)
-            highs[i], centres[i], budgets[i] = (r - c) // step, c, budget
+            x = lo
+            highs[i], centres[i], budgets[i] = hi, c, budget
         while x > highs[i]:
             if i == 0:
                 return
@@ -140,15 +176,31 @@ def enumerate_by_norm(
 ) -> list[DualVector]:
     """All vectors v in (coset + L) with <v, v> = norm, sorted lexicographically.
 
+    When the shell is closed under v -> -v (no coset, or a coset of order at
+    most 2 in L'/L), only the vectors up to zero in lex order are traversed,
+    and the rest are their negatives in reverse order.
+
     Only positive definite lattices are accepted; for a negative definite one,
     enumerate make_lattice of the negated Gram at -norm.
     """
     num, den = None, 1
     if coset is not None:
         num, den = checked_dual(coset, lattice, "coset").num, coset.den
+    stream = lex_stream(lattice, norm, num, den)
     # No reduction needed: num/den is in lowest terms and each w_i = num_i
     # (mod den), so gcd(den, *w) = gcd(den, *num) = 1.
-    return [DualVector._of(lattice, w, den) for w in lex_stream(lattice, norm, num, den)]
+    if den > 2:
+        return [DualVector._of(lattice, w, den) for w in stream]
+    # num/den is in lowest terms, so 2 num = 0 (mod den), which makes the
+    # shell closed under w -> -w, exactly when den divides 2.  Negation
+    # reverses lex order, so the vectors w <= 0, mirrored, are the rest.
+    zero = (0,) * checked_lattice(lattice).rank
+    vecs = [DualVector._of(lattice, w, den) for w in takewhile(zero.__ge__, stream)]
+    # zero, the one vector of a norm-0 shell, is its own negative
+    vecs += [
+        DualVector._of(lattice, tuple([-a for a in v.num]), den) for v in reversed(vecs) if v.num != zero
+    ]
+    return vecs
 
 
 def first_primitive_vector(lattice: IntegerLattice, norm) -> tuple[int, ...] | None:

@@ -93,15 +93,15 @@ def test_box_oracle_agreement_spot(rng):
 
 
 def test_first_primitive_matches_filtered_enumeration():
+    # Full E8 shells past norm 12 hold millions of vectors, so the larger
+    # norms filter the slow path's lazy stream instead of the full list.
     e8 = build_named_lattice("E8")
-    for d in (2, 4, 6, 8, 10):
-        full = enumerate_by_norm(e8, d)
-        prims = [
-            tuple(int(c) for c in v.coords)
-            for v in full
-            if math.gcd(*v.num) == 1
-        ]
-        assert first_primitive_vector(e8, d) == prims[0]
+    for d in range(2, 41, 2):
+        first = next(x for x in recursive_lex_stream(e8, d) if math.gcd(*x) == 1)
+        if d <= 12:
+            full = enumerate_by_norm(e8, d)
+            assert first == next(v.num for v in full if math.gcd(*v.num) == 1)
+        assert first_primitive_vector(e8, d) == first, d
 
 
 def test_first_primitive_exists_for_even_norms():
@@ -339,3 +339,62 @@ def test_slow_path_fixed_cases():
     e8 = build_named_lattice("E8")
     for norm in (2, 4, 6, 8):
         assert_matches_slow_path(e8, norm)
+
+
+def assert_central_shell(lattice, norm, coset=None):
+    """The slow-path check on a shell that must be closed under negation."""
+    nums = assert_matches_slow_path(lattice, norm, coset)
+    assert sorted(tuple(-a for a in w) for w in nums) == nums
+    return nums
+
+
+@st.composite
+def central_shells(draw):
+    rank = draw(st.integers(1, 6))
+    lattice = random_definite(random.Random(draw(st.integers(0, 2**32))), rank)
+    den = draw(st.sampled_from((1, 2, 4)))
+    # 2 num = 0 (mod den): each entry a multiple of den / 2 (of den when den = 1)
+    unit = max(den // 2, 1)
+    num = [unit * draw(st.integers(-2, 2)) for _ in range(rank)]
+    coset = DualVector.from_scaled(lattice, num, den)
+    extra = Fraction(draw(st.integers(0, SLOW_PATH_MAX_NORM * 4)), 4)
+    return lattice, coset, extra
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(central_shells())
+def test_central_shells_match_slow_path_and_are_symmetric(case):
+    lattice, coset, extra = case
+    assert coset.den in (1, 2)
+    norms = {0, extra, coset.norm()}
+    for i in range(lattice.rank):
+        step = [0] * lattice.rank
+        step[i] = coset.den
+        norms.add(DualVector.from_scaled(lattice, [a + b for a, b in zip(coset.num, step)], coset.den).norm())
+    for norm in sorted(n for n in norms if n <= SLOW_PATH_MAX_NORM):
+        nums = assert_central_shell(lattice, norm, coset)
+        # the zero vector is in the shell exactly at norm 0 of the lattice coset
+        assert ((0,) * lattice.rank in nums) == (norm == 0 and coset.den == 1)
+        if coset.den == 1:
+            assert assert_central_shell(lattice, norm) == nums
+
+
+def test_central_shells_fixed_cases():
+    # rank 1: one closed-form step; rank 2: the fused step sits at depth 0
+    line = build_named_lattice("rank1", 2)
+    assert assert_central_shell(line, 8) == [(-2,), (2,)]
+    half = DualVector(line, [Fraction(1, 2)])
+    assert assert_central_shell(line, 2, half) == []
+    assert assert_central_shell(line, Fraction(9, 2), half) == [(-3,), (3,)]
+    a1a1 = make_lattice([[2, 0], [0, 2]])
+    assert assert_central_shell(a1a1, 2) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert assert_central_shell(a1a1, 4) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    corner = DualVector(a1a1, [Fraction(1, 2), Fraction(1, 2)])
+    assert assert_central_shell(a1a1, 1, corner) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    a2 = build_named_lattice("A2")
+    assert assert_central_shell(a2, 2) == [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+    # norm 0: the zero vector alone, or nothing in a nontrivial coset
+    for lattice in (line, a1a1, a2, build_named_lattice("E8")):
+        assert assert_central_shell(lattice, 0) == [(0,) * lattice.rank]
+    assert assert_central_shell(line, 0, half) == []
+    assert assert_central_shell(a1a1, 0, corner) == []
