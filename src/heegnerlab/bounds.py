@@ -164,10 +164,12 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
 
     The upper comparison is conservative: it uses an exact rational partial
     sum of zeta(k-1), which is a lower bound for the true value, so a pass
-    here implies the true inequality.  The partial sum is lengthened until
-    it decides every m (always possible, because the divisor sum of m is
-    dominated by the partial sum with m terms).  A k with (k-1) times the
-    bit length of the range's top above SANDWICH_POWER_BITS is refused.
+    here implies the true inequality.  64 terms decide every m the caps
+    allow: m <= SIEVE_CAP < 2*3*...*23 has at most 8 distinct primes, so
+    sigma_s(m)/m^s < prod_{p<=19} p^s/(p^s - 1), which is below the 64-term
+    sum for every s = k - 1 in 2..SANDWICH_POWER_BITS.  A k with (k-1)
+    times the bit length of the range's top above SANDWICH_POWER_BITS is
+    refused.
     """
     k, (m_lo, m_hi) = checked_int(k, "k", 3), _checked_range(m_range, "m_range")
     if (k - 1) * m_hi.bit_length() > SANDWICH_POWER_BITS:
@@ -187,10 +189,6 @@ def sandwich_check(k: int, m_range: tuple[int, int]) -> SandwichReport:
             continue
         if sigma[m] << 64 <= floor64 * mk:
             continue
-        while sigma[m] * zlo.denominator > zlo.numerator * mk and terms < m:
-            terms = min(2 * terms, m)
-            zlo = zeta_partial_sum(s, terms)
-            floor64 = (zlo.numerator << 64) // zlo.denominator
         if sigma[m] * zlo.denominator > zlo.numerator * mk:
             failures.append(m)
     zhi = zlo + Fraction(1, (s - 1) * terms ** (s - 1))  # integral-test bound on the tail
@@ -227,13 +225,16 @@ class DivisorBoundReport:
         }
 
 
-def divisor_bound_check(n_range: tuple[int, int], squarefree_limit: int = 10**4) -> DivisorBoundReport:
-    """Verify 2^omega(n) <= d(n) on a range, with squarefree equality."""
+SQUAREFREE_CHECK_LIMIT = 10**4
+
+
+def divisor_bound_check(n_range: tuple[int, int]) -> DivisorBoundReport:
+    """Verify 2^omega(n) <= d(n) on a range, with squarefree equality up to SQUAREFREE_CHECK_LIMIT."""
     lo, hi = _checked_range(n_range, "n_range")
     two_omega = multiplicative_sieve(hi, lambda prev, pk, p: 2)
     dc = divisor_sigma_sieve(hi, 0)
     bad = [n for n in range(lo, hi + 1) if two_omega[n] > dc[n]]
-    sq_hi = min(hi, checked_int(squarefree_limit, "squarefree_limit"))
+    sq_hi = min(hi, SQUAREFREE_CHECK_LIMIT)
     mu2 = multiplicative_sieve(sq_hi, lambda prev, pk, p: int(pk == p))
     sq_holds = all((two_omega[n] == dc[n]) == bool(mu2[n]) for n in range(1, sq_hi + 1))
     return DivisorBoundReport(

@@ -35,7 +35,6 @@ from .intlinalg import checked_int
 from .lattices import NAMED_LATTICES, IntegerLattice, build_named_lattice
 from .weil import build_weil_rep, relations_pass, verify_sl2_relations
 
-ENV_CAP = "HEEGNER_LAB_CAP"
 OUTPUT_FLAGS = ("--format", "--out", "--meta")  # the options of every leaf command
 # --d/--n/--delta: every named-lattice parameter, in order of first use
 _PARAM_FLAGS = tuple(dict.fromkeys(p for takes in NAMED_LATTICES.values() for p in takes))
@@ -110,19 +109,6 @@ def _named_lattice_from_args(args) -> IntegerLattice:
     return build_named_lattice(name, *(getattr(args, flag) for flag in takes))
 
 
-def _hard_cap() -> int | None:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{ENV_CAP} must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _parse_range(text: str) -> range:
     try:
         lo, hi = (int(x) for x in text.split(":"))
@@ -135,7 +121,7 @@ def _parse_range(text: str) -> range:
 
 def run_lattice_info(args) -> tuple[dict, int]:
     lattice = _named_lattice_from_args(args)
-    group = discriminant_group(lattice, hard_cap=_hard_cap())
+    group = discriminant_group(lattice)
     doc = lattice.to_jsonable()
     doc["det"] = lattice.det
     doc["disc_group"] = group.to_jsonable()
@@ -151,7 +137,7 @@ def run_weil_check(args) -> tuple[dict, int]:
         raise ValueError(
             f"weil check needs signature (m, 2) with m even; {lattice.name} has {lattice.signature}"
         )
-    group = discriminant_group(lattice, hard_cap=_hard_cap())
+    group = discriminant_group(lattice)
     rep = build_weil_rep(group, p)
     checks = verify_sl2_relations(rep, tol=args.tol)
     doc = {

@@ -29,7 +29,6 @@ from .lattices import DualVector, IntegerLattice, checked_dual, checked_lattice
 Element = tuple[int, ...]
 
 FULL_TABLE_CAP = 10**6
-HARD_CAP = 10**9
 
 
 class DiscriminantGroup:
@@ -139,16 +138,17 @@ class DiscriminantGroup:
         }
 
 
-def discriminant_group(lattice: IntegerLattice, hard_cap: int | None = None) -> DiscriminantGroup:
-    """Compute D(M) with generator lifts via Smith normal form of the Gram."""
+def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
+    """Compute D(M) with generator lifts via Smith normal form of the Gram.
+
+    A group of any order is built, at a cost that does not grow with |D|;
+    the work that does is capped where it is done: the full q-table at
+    FULL_TABLE_CAP and the Weil matrices at weil.DIM_CAP.
+    """
     det = checked_lattice(lattice).det
     if det == 0:
         raise ValueError("discriminant group requires a nondegenerate Gram matrix")
-    order = abs(det)
-    hard = HARD_CAP if hard_cap is None else checked_int(hard_cap, "hard_cap", 1)
-    if order > hard:
-        raise ValueError(f"discriminant group order {order} exceeds the hard cap {hard}")
     group = DiscriminantGroup(lattice, smith_normal_form(lattice.gram))
-    if group.order != order:
+    if group.order != abs(det):
         raise AssertionError("Smith form inconsistent with |det Gram|")
     return group

@@ -176,7 +176,7 @@ def test_criterion_07_growth_sandwich():
 
 def test_criterion_08_divisor_inequality():
     with Timer("8 divisor inequality", 60.0):
-        report = divisor_bound_check((1, 10**6), squarefree_limit=10**4)
+        report = divisor_bound_check((1, 10**6))
         assert report.passed
         assert report.squarefree_equality_holds
 

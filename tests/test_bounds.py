@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from heegnerlab.arith import (
+    SIEVE_CAP,
     divisor_sigma_sieve,
     factorize,
     multiplicative_sieve,
@@ -13,6 +14,7 @@ from heegnerlab.arith import (
 )
 from heegnerlab.bounds import (
     CASE_C_WITNESS_CAP,
+    SANDWICH_POWER_BITS,
     THEOREM_RANGE_MIN_D,
     SandwichReport,
     admissibility_report,
@@ -225,6 +227,15 @@ def test_sandwich_check_matches_unfiltered_loop(m_range):
         assert sandwich_check(k, m_range) == slow_sandwich_check(k, m_range)
 
 
+def test_64_zeta_terms_decide_every_sandwich_the_caps_allow():
+    """m <= SIEVE_CAP has at most 8 distinct primes, so sigma_s(m)/m^s is
+    below the Euler product over p <= 19, itself below the 64-term sum."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    assert math.prod(primes) <= SIEVE_CAP < math.prod(primes) * 23
+    for s in range(2, SANDWICH_POWER_BITS + 1):
+        assert math.prod(Fraction(p**s, p**s - 1) for p in primes) < zeta_partial_sum(s, 64), s
+
+
 def test_zeta_bounds_bracket():
     """The partial sum and the integral-test tail bound bracket zeta(k - 1)."""
     for k, zeta in ((3, math.pi**2 / 6), (4, 1.2020569031595942), (5, math.pi**4 / 90), (7, math.pi**6 / 945)):
@@ -264,6 +275,8 @@ def test_exponents():
         heegner_irr_exponent(2)
     with pytest.raises(ValueError, match="even"):
         kudla_irr_exponent(7)
+    with pytest.raises(ValueError, match=">= 4"):
+        kudla_irr_exponent(2)
 
 
 def test_growth_exponent_estimate():
@@ -278,6 +291,9 @@ def test_growth_exponent_estimate():
         growth_exponent_estimate([(1, 1.0), (2, 4.0)])
     with_zeros = [(n, 0.0) for n in range(1, 6)] + [(n, float(n) ** 3) for n in range(6, 20)]
     assert abs(growth_exponent_estimate(with_zeros) - 3.0) < 1e-9
+    assert growth_exponent_estimate([(5, float(v)) for v in range(1, 10)]) == 0.0
+    with pytest.raises(ValueError, match=rf"series row \[{10**400}, 1\] is not a pair of numbers"):
+        growth_exponent_estimate([(10**400, 1)] + [(n, n) for n in range(1, 9)])
 
 
 def test_admissibility_report():
@@ -388,7 +404,6 @@ _NON_INTEGER_CALLS = [
     (sandwich_check, (4.5, (1, 10)), "k"),
     (sandwich_check, (4, (1, 10.5)), "m_range bound"),
     (divisor_bound_check, ((1.5, 10.7),), "n_range bound"),
-    (divisor_bound_check, ((1, 10), 10.5), "squarefree_limit"),
     (factorize, (7.5,), "n"),
 ]
 

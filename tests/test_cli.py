@@ -45,6 +45,16 @@ def test_lattice_info_trivial_group():
     assert doc["level"] == 1
 
 
+def test_lattice_info_past_the_full_table_cap():
+    result = run_cli("lattice", "info", "--name", "Lambda_d", "--d", str(10**30), timeout=60)
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert doc["det"] == 10**30
+    assert doc["disc_group"]["mode"] == "generators-only"
+    big = run_cli("weil", "check", "--name", "Lambda_HK_prim", "--n", str(10**30), "--delta", "1")
+    assert_usage_error(big, "exceeds the dimension cap 2000")
+
+
 def test_lattice_info_bad_params_exit_2():
     result = run_cli("lattice", "info", "--name", "Lambda_HK_prim", "--n", "2", "--delta", "2")
     assert result.returncode == 2
@@ -125,6 +135,7 @@ def test_bound_single_and_range():
     assert len(lines) == 5
     assert [json.loads(l)["g"] for l in lines] == [2, 3, 4, 5, 6]
     assert run_cli("bound", "--format", "csv", "--g", "8").returncode == 2
+    assert_usage_error(run_cli("bound", "--g-range", "5:3"), "empty range")
 
 
 def test_growth_sandwich_and_estimate():
@@ -172,14 +183,6 @@ def test_output_flags_before_the_subcommand_are_rejected(tmp_path):
         assert f"{flag} must follow the subcommand" in result.stderr
         assert "invalid choice" not in result.stderr
     assert not out.exists()
-
-
-def test_env_cap_override():
-    result = run_cli(
-        "lattice", "info", "--name", "Lambda_GM", env_extra={"HEEGNER_LAB_CAP": "2"}
-    )
-    assert result.returncode == 2
-    assert "cap" in result.stderr
 
 
 def test_payload_determinism():
@@ -288,12 +291,6 @@ def test_parameters_rejected_where_the_lattice_takes_none():
     assert_usage_error(run_cli("lattice", "info", "--name", "Lambda_C", "--d", "5"), "Lambda_C takes no --d")
     assert_usage_error(run_cli("weil", "check", "--name", "Lambda_GM", "--delta", "1"), "--delta")
     assert_usage_error(run_cli("lattice", "info", "--name", "rank1", "--d", "4", "--n", "3"), "--n")
-
-
-def test_env_cap_must_be_a_positive_integer():
-    for raw in ("-5", "0", "ten"):
-        result = run_cli("lattice", "info", "--name", "Lambda_C", env_extra={"HEEGNER_LAB_CAP": raw})
-        assert_usage_error(result, "HEEGNER_LAB_CAP", "positive integer")
 
 
 def test_failed_internal_check_exits_1_without_traceback(monkeypatch, capsys):

@@ -58,6 +58,9 @@ def test_norm_zero():
     assert len(zeros) == 1 and zeros[0].coords == (Fraction(0), Fraction(0))
     group = discriminant_group(a2)
     assert enumerate_by_norm(a2, 0, coset=group.lift((1,))) == []
+    rank0 = make_lattice([])
+    assert [v.coords for v in enumerate_by_norm(rank0, 0)] == [()]
+    assert enumerate_by_norm(rank0, 2) == []
 
 
 def test_negative_norm_rejected():

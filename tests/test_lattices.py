@@ -259,6 +259,7 @@ def test_carried_determinant_matches_the_bareiss_oracle(rng):
         "Lambda_HK_prim(7,1))",
         "Lambda_HK_prim(7)",
         "Lambda_HK_prim(5,2)",
+        "Lambda_HK_prim(0,1)",
         "Lambda_d(+14)",
         "Lambda_d(-14)",
         "Lambda_d(1_4)",
