@@ -268,8 +268,8 @@ def kudla_irr_exponent(m: int) -> int:
 def growth_exponent_estimate(series: Sequence[tuple]) -> float:
     """Least-squares slope of log(value) against log(index), zeros ignored.
 
-    Every row is an (index, value) pair; indices must be positive and finite,
-    values finite and nonnegative.
+    Every row is an (index, value) pair of numbers, not bools; indices must be
+    positive and finite, values finite and nonnegative.
     """
     import numpy as np
 
@@ -277,6 +277,8 @@ def growth_exponent_estimate(series: Sequence[tuple]) -> float:
     for row in checked_rows(series, "series"):
         if len(row) != 2:
             raise ValueError(f"each series row must be an (index, value) pair, got {row!r}")
+        if any(isinstance(x, bool) for x in row):  # float(True) would read as 1.0
+            raise ValueError(f"series row {row!r} is not a pair of numbers")
         try:
             i, v = float(row[0]), float(row[1])
         except OverflowError as exc:

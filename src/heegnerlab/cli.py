@@ -1,19 +1,23 @@
 """Command-line front end: reproducible batch commands with JSON/CSV output.
 
+Every handler returns ordered (record, exit code) pairs: one for a single
+command, one per genus for `--g` and `--g-range` alike.  One writer, `_write`,
+writes them as they come, in one of three shapes: CSV rows after one header;
+one indented JSON document, or one line per record of a `--g-range`; or, with
+`--meta`, the records buffered into one metadata envelope.
 Exit codes: 0 success, 1 verification failure or failed internal check,
-2 usage or precondition error.
-Payloads contain no timestamps, so identical invocations are byte-identical;
-`--meta` wraps a JSON payload in a separate metadata envelope.
+2 usage or precondition error; a range exits with its largest record code.
+Payloads contain no timestamps, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from datetime import datetime, timezone
 
 from . import __version__
@@ -119,7 +123,7 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def run_lattice_info(args) -> tuple[dict, int]:
+def run_lattice_info(args) -> list[tuple[dict, int]]:
     lattice = _named_lattice_from_args(args)
     group = discriminant_group(lattice)
     doc = lattice.to_jsonable()
@@ -127,10 +131,10 @@ def run_lattice_info(args) -> tuple[dict, int]:
     doc["disc_group"] = group.to_jsonable()
     doc["disc_group"]["mode"] = group.q_mode
     doc["level"] = group.level
-    return doc, 0
+    return [(doc, 0)]
 
 
-def run_weil_check(args) -> tuple[dict, int]:
+def run_weil_check(args) -> list[tuple[dict, int]]:
     lattice = _named_lattice_from_args(args)
     p, q = lattice.signature
     if q != 2 or p % 2 != 0:
@@ -150,123 +154,100 @@ def run_weil_check(args) -> tuple[dict, int]:
         "relations": [c.to_jsonable() for c in checks],
         "pass": relations_pass(checks),
     }
-    return doc, 0 if relations_pass(checks) else 1
+    return [(doc, 0 if relations_pass(checks) else 1)]
 
 
-def run_heegner(args) -> tuple[dict, int]:
+def run_heegner(args) -> list[tuple[dict, int]]:
     if args.subcommand == "cubic":
-        return {"d": args.d, "index": cubic_heegner_index(args.d).to_jsonable()}, 0
+        return [({"d": args.d, "index": cubic_heegner_index(args.d).to_jsonable()}, 0)]
     if args.subcommand == "gm":
-        return {
-            "d": args.d,
-            "indices": [i.to_jsonable() for i in gm_heegner_index(args.d)],
-            "labellings": [w.to_jsonable() for w in gm_residue_vector(args.d)],
-        }, 0
-    family = hk_heegner_index(args.n, args.delta, args.d)
-    return family.to_jsonable(), 0
+        indices = [i.to_jsonable() for i in gm_heegner_index(args.d)]
+        labellings = [w.to_jsonable() for w in gm_residue_vector(args.d)]
+        return [({"d": args.d, "indices": indices, "labellings": labellings}, 0)]
+    return [(hk_heegner_index(args.n, args.delta, args.d).to_jsonable(), 0)]
 
 
-def run_embed(args) -> tuple[dict, int]:
+def run_embed(args) -> list[tuple[dict, int]]:
     witness = embed_k3_lattice(args.d)
-    return witness.to_jsonable(), 0 if witness.det_check_passed and witness.image_primitive else 1
+    return [(witness.to_jsonable(), 0 if witness.det_check_passed and witness.image_primitive else 1)]
 
 
-def _sweep(text: str, make):
-    """make(g) -> (record, exit code) for every genus g of the range A:B, in
-    order, made one at a time.  The last genus is made first and held, so a
-    top past a bound fails before any output, and no genus is made twice."""
-    genera = _parse_range(text)
+def _genera(args, make) -> Iterable[tuple[object, int]]:
+    """make(g) -> (record, exit code) for the genus --g, or for every genus of
+    the range --g-range A:B in order, made one at a time.  The last genus is
+    made first and held, so a top past a bound fails before any output, and
+    no genus is made twice."""
+    genera = _parse_range(args.g_range) if args.g is None else range(args.g, args.g + 1)
     last = make(genera[-1])
     for g in genera[:-1]:
         yield make(g)
     yield last
 
 
-def run_admissible(args) -> tuple[object, int]:
+def run_admissible(args) -> Iterable[tuple[object, int]]:
     if args.d is not None:
-        return admissibility_report(args.d, args.n_max), 0
-
-    def reported(g):
-        return admissibility_report(2 * checked_int(g, "g", 2) - 2, args.n_max), 0
-
-    return reported(args.g) if args.g is not None else (_sweep(args.g_range, reported), 0)
+        return [(admissibility_report(args.d, args.n_max), 0)]
+    return _genera(args, lambda g: (admissibility_report(2 * checked_int(g, "g", 2) - 2, args.n_max), 0))
 
 
-def run_bound(args) -> tuple[object, int]:
+def run_bound(args) -> Iterable[tuple[object, int]]:
     def certified(g):
         cert = irr_bound_certificate(g, args.n_max)
         # exit 1 when a uniform route's witness fails its det check, as `embed` does
         return cert, int(any(not route.extras.get("det_check_pass", True) for route in cert.routes))
 
-    return certified(args.g) if args.g is not None else (_sweep(args.g_range, certified), 0)
+    return _genera(args, certified)
 
 
-def run_growth(args) -> tuple[object, int]:
+def run_growth(args) -> list[tuple[object, int]]:
     if args.subcommand == "sandwich":
         report = sandwich_check(args.k, (args.m_min, args.m_max))
-        return report, 0 if report.passed else 1
+        return [(report, 0 if report.passed else 1)]
     if args.series_file is None:
         raw = sys.stdin.read()
     else:
         with open(args.series_file) as fh:
             raw = fh.read()
-    series = json.loads(raw)
+    try:
+        series = json.loads(raw)
+    except RecursionError as exc:
+        raise ValueError("the series is nested too deeply to parse") from exc
     if not isinstance(series, list):
         raise ValueError("the series must be a JSON list of [index, value] pairs")
-    slope = growth_exponent_estimate(series)
-    return {"count": len(series), "slope": slope}, 0
+    return [({"count": len(series), "slope": growth_exponent_estimate(series)}, 0)]
 
 
 def _jsonable(obj):
     return obj.to_jsonable() if hasattr(obj, "to_jsonable") else obj
 
 
-def _csv(items, header: bool = True) -> str:
-    if not all(hasattr(x, "rows") for x in items):
-        raise ValueError("csv output is only available for flat reports (admissible, growth sandwich)")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header:
-        writer.writerow(("input", "clause", "pass"))
-    for item in items:
-        writer.writerows(item.rows())
-    return buf.getvalue()
-
-
-def _render(payload, args) -> str:
-    if args.format == "csv":
-        return _csv(payload if isinstance(payload, list) else [payload])
-    doc = [_jsonable(x) for x in payload] if isinstance(payload, list) else _jsonable(payload)
-    if args.meta:
-        envelope = {
-            "payload": doc,
-            "meta": {
-                "tool": "heegnerlab",
-                "version": __version__,
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-            },
-        }
-        body = json.dumps(envelope, indent=2, sort_keys=False, allow_nan=False)
-    else:
-        body = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
-    return body + "\n"
-
-
-def _write_sweep(pairs, args, out: "_Output") -> int:
-    """Write the (record, exit code) pairs of a --g-range as they are made:
-    one JSON line per record, or its CSV rows after one header.  `--meta`
-    buffers them into one document.  Returns the largest exit code."""
-    code, records = 0, []
+def _write(pairs: Iterable[tuple[object, int]], args, out: "_Output") -> int:
+    """Write the (record, exit code) pairs as they are made and return the
+    largest exit code.  CSV: each record's rows, after one header.  JSON: one
+    indented document, or one line per record of a --g-range.  --meta: the
+    records buffered into one enveloped document."""
+    ranged = getattr(args, "g_range", None) is not None
+    table = csv.writer(out, lineterminator="\n")
+    code, docs = 0, []
     for i, (record, status) in enumerate(pairs):
         code = max(code, status)
-        if args.meta:
-            records.append(record)
-        elif args.format == "csv":
-            out.write(_csv([record], header=i == 0))
+        if args.format == "csv":
+            if not hasattr(record, "rows"):
+                raise ValueError("csv output is only available for flat reports (admissible, growth sandwich)")
+            if i == 0:
+                table.writerow(("input", "clause", "pass"))
+            table.writerows(record.rows())
+        elif ranged and not args.meta:
+            out.write(json.dumps(_jsonable(record), allow_nan=False) + "\n")
         else:
-            out.write(json.dumps(_jsonable(record), sort_keys=False, allow_nan=False) + "\n")
-    if args.meta:
-        out.write(_render(records, args))
+            docs.append(_jsonable(record))
+    if docs:
+        doc = docs if ranged else docs[0]
+        if args.meta:
+            stamp = datetime.now(timezone.utc).isoformat()
+            meta = {"tool": "heegnerlab", "version": __version__, "generated_at": stamp}
+            doc = {"payload": doc, "meta": meta}
+        out.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return code
 
 
@@ -314,11 +295,7 @@ def main(argv=None) -> int:
         if args.meta and args.format == "csv":
             raise ValueError("--meta wraps JSON output only; it cannot be combined with --format csv")
         with _Output(args.out) as out:
-            payload, code = handlers[args.command](args)
-            if getattr(args, "g_range", None) is None:
-                out.write(_render(payload, args))
-            else:
-                code = _write_sweep(payload, args, out)
+            code = _write(handlers[args.command](args), args, out)
     except BrokenPipeError:
         # the reader stopped early, the usual way to end a long sweep; stdout
         # now points at devnull so the flush at shutdown raises nothing

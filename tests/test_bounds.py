@@ -294,6 +294,9 @@ def test_growth_exponent_estimate():
     assert growth_exponent_estimate([(5, float(v)) for v in range(1, 10)]) == 0.0
     with pytest.raises(ValueError, match=rf"series row \[{10**400}, 1\] is not a pair of numbers"):
         growth_exponent_estimate([(10**400, 1)] + [(n, n) for n in range(1, 9)])
+    for row in ([True, 1], [2, False]):
+        with pytest.raises(ValueError, match=rf"series row \[{row[0]}, {row[1]}\] is not a pair of numbers"):
+            growth_exponent_estimate([row] + [(n, n**2) for n in range(3, 11)])
 
 
 def test_admissibility_report():

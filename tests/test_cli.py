@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -6,10 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import pytest
-
 from heegnerlab import cli
-from heegnerlab.cli import _render
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -227,13 +223,20 @@ def test_growth_estimate_rejects_malformed_rows():
     assert_usage_error(run_cli("growth", "estimate", stdin='{"a": 1}'), "list of [index, value] pairs")
     rows = json.dumps([[n, n**2] for n in range(1, 12)] + [[5]])
     assert_usage_error(run_cli("growth", "estimate", stdin=rows), "(index, value) pair")
+    assert_usage_error(run_cli("growth", "estimate", stdin="[" * 100000), "nested too deeply")
+    rows = json.dumps([[True, 1]] + [[n, n**2] for n in range(2, 9)])
+    assert_usage_error(run_cli("growth", "estimate", stdin=rows), "series row [True, 1] is not a pair of numbers")
 
 
-def test_render_refuses_nonfinite_floats():
-    args = argparse.Namespace(format="json", meta=False)
+def test_render_refuses_nonfinite_floats(monkeypatch, capsys):
+    # JSON has no NaN or infinity: a single document, its envelope and a range line all refuse one
     for value in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            _render({"slope": value}, args)
+        monkeypatch.setattr(cli, "run_growth", lambda args: [({"slope": value}, 0)])
+        monkeypatch.setattr(cli, "run_bound", lambda args: iter([({"g": 2, "slope": value}, 0)]))
+        for argv in (["growth", "estimate"], ["growth", "estimate", "--meta"], ["bound", "--g-range", "2:2"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: Out of range float values")
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path):

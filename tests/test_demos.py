@@ -1,4 +1,4 @@
-"""Each narrative script under demos/ runs to completion against src/."""
+"""Each narrative script under demos/, and README's library example, runs to completion against src/."""
 
 import os
 import subprocess
@@ -23,3 +23,12 @@ def test_demo_runs(demo):
 
 def test_demos_found():
     assert DEMOS
+
+
+def test_readme_library_example_prints_its_routes(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    routes = "['A', 'C(7)', 'C(6)', 'C(3)', 'uniform']"
+    assert f"# {routes}" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == routes + "\n"
